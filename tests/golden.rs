@@ -195,3 +195,55 @@ fn metrics_capture_never_changes_simulated_results() {
         }
     }
 }
+
+/// Digests of every record of every thread's generated trace, per
+/// workload and scale. The simulator digests above cover only TPC-C-1;
+/// these pin the generator itself — including the TPC-E mix and the
+/// MapReduce `Streaming` data path — so a generator optimization that
+/// drifts any workload's stream fails here first.
+const TRACE_GOLDEN: [(Workload, &str, u64); 8] = [
+    (Workload::TpcC1, "tiny", 0xfcd5c242e4c858c6),
+    (Workload::TpcC10, "tiny", 0x59ac373d97993fe5),
+    (Workload::TpcE, "tiny", 0x72474b50b9dded13),
+    (Workload::MapReduce, "tiny", 0x282cf9f4f5cf914d),
+    (Workload::TpcC1, "small", 0x62369aa43e3713c3),
+    (Workload::TpcC10, "small", 0xf07550883a531d13),
+    (Workload::TpcE, "small", 0xa1480d0180629d7d),
+    (Workload::MapReduce, "small", 0x164cac287c4f06ad),
+];
+
+fn trace_digest(workload: Workload, scale: TraceScale) -> u64 {
+    let spec = workload.spec(scale);
+    let mut h = slicc_common::StableHasher::new();
+    for thread in spec.threads() {
+        h.write_u64(thread.raw() as u64);
+        for rec in spec.thread_trace(thread) {
+            h.write_u64(rec.pc.raw());
+            match rec.data {
+                Some(d) => {
+                    h.write_u64(d.addr.raw());
+                    h.write_u64(1 + d.is_store as u64);
+                }
+                None => h.write_u64(0),
+            }
+        }
+    }
+    h.finish()
+}
+
+#[test]
+fn every_workload_generates_its_pinned_record_stream() {
+    let mut drifted = Vec::new();
+    for (workload, scale_name, want) in TRACE_GOLDEN {
+        let scale = match scale_name {
+            "tiny" => TraceScale::tiny(),
+            _ => TraceScale::small(),
+        };
+        let got = trace_digest(workload, scale);
+        println!("    (Workload::{workload:?}, \"{scale_name}\", 0x{got:016x}),");
+        if got != want {
+            drifted.push((workload, scale_name, want, got));
+        }
+    }
+    assert!(drifted.is_empty(), "generated traces drifted from the pinned capture: {drifted:x?}");
+}
