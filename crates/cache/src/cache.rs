@@ -68,6 +68,18 @@ impl LookupResult {
     }
 }
 
+/// Where a resident block sits, as found by one [`Cache::probe`]. Valid
+/// until the next operation that can change the cache's contents; hand
+/// it back to [`Cache::hit_at`] to perform the demand hit without a
+/// second tag scan.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct WayHit {
+    set: usize,
+    way: usize,
+    /// Whether the block held modified data when probed.
+    pub dirty: bool,
+}
+
 /// A set-associative cache with a pluggable replacement policy.
 ///
 /// # Example
@@ -146,6 +158,7 @@ impl Cache {
 
     /// Finds the way holding `block` in `set`, if present and valid.
     /// Scans only the valid ways, walking the set's mask bit by bit.
+    #[inline]
     fn find_way(&self, set: usize, tag: u64) -> Option<usize> {
         let base = set * self.assoc();
         let mut live = self.valid[set];
@@ -162,23 +175,49 @@ impl Cache {
     /// Performs a demand access: returns hit/miss and installs the block
     /// on miss (allocate-on-miss, for reads and writes alike).
     pub fn access(&mut self, block: BlockAddr, kind: AccessKind) -> LookupResult {
-        let set = self.geom.set_index(block);
-        let tag = self.geom.tag(block);
-        self.stats.accesses += 1;
-        if let Some(way) = self.find_way(set, tag) {
-            self.stats.hits += 1;
-            self.policy.on_hit(set, way);
-            if kind.is_write() {
-                self.dirty[set] |= 1 << way;
+        match self.probe(block) {
+            Some(hit) => {
+                self.hit_at(hit, kind);
+                LookupResult::Hit
             }
-            return LookupResult::Hit;
+            None => self.miss_at(block, kind),
         }
+    }
+
+    /// Finds `block` with one tag scan, without changing any state.
+    /// `Some` carries the way and its dirtiness for [`Cache::hit_at`].
+    #[inline]
+    pub fn probe(&self, block: BlockAddr) -> Option<WayHit> {
+        let set = self.geom.set_index(block);
+        let way = self.find_way(set, self.geom.tag(block))?;
+        Some(WayHit { set, way, dirty: self.dirty[set] >> way & 1 != 0 })
+    }
+
+    /// The hit half of [`Cache::access`], on a way a probe just found:
+    /// identical statistics, recency update and dirtying, no tag scan.
+    #[inline]
+    pub fn hit_at(&mut self, hit: WayHit, kind: AccessKind) {
+        debug_assert!(self.valid[hit.set] >> hit.way & 1 != 0, "hit_at on a stale probe");
+        self.stats.accesses += 1;
+        self.stats.hits += 1;
+        self.policy.on_hit(hit.set, hit.way);
+        if kind.is_write() {
+            self.dirty[hit.set] |= 1 << hit.way;
+        }
+    }
+
+    /// The miss half of [`Cache::access`], for a block a probe just
+    /// found absent: counts the miss and installs the block.
+    pub fn miss_at(&mut self, block: BlockAddr, kind: AccessKind) -> LookupResult {
+        debug_assert!(!self.contains(block), "miss_at on a resident block");
+        let set = self.geom.set_index(block);
+        self.stats.accesses += 1;
         self.stats.misses += 1;
         if kind.is_write() {
             self.stats.write_misses += 1;
         }
         self.policy.on_miss(set);
-        let evicted = self.install(set, tag, kind.is_write());
+        let evicted = self.install(set, self.geom.tag(block), kind.is_write());
         LookupResult::Miss { evicted }
     }
 
@@ -232,11 +271,7 @@ impl Cache {
 
     /// Whether `block` is cached dirty. No state change.
     pub fn contains_dirty(&self, block: BlockAddr) -> bool {
-        let set = self.geom.set_index(block);
-        match self.find_way(set, self.geom.tag(block)) {
-            Some(way) => self.dirty[set] >> way & 1 != 0,
-            None => false,
-        }
+        self.probe(block).is_some_and(|hit| hit.dirty)
     }
 
     /// Removes `block` (coherence invalidation). Returns the block's state
@@ -462,6 +497,44 @@ mod tests {
         c.access(b, AccessKind::Read);
         let set = c.geometry().set_index(b);
         assert!(c.blocks_in_set(set).any(|x| x == b));
+    }
+
+    #[test]
+    fn probe_then_hit_at_matches_access_for_every_policy() {
+        for kind in PolicyKind::ALL {
+            let geom = CacheGeometry::new(2048, 4, 64); // 8 sets x 4 ways
+            let mut reference = Cache::new(geom, kind, 11);
+            let mut split = Cache::new(geom, kind, 11);
+            let mut rng = slicc_common::SplitMix64::new(0x9b0be ^ kind as u64);
+            for step in 0..20_000 {
+                // 64 blocks over 32 lines: a mix of hits, misses and evictions.
+                let block = BlockAddr::new(rng.next_below(64));
+                let kind_rw = if rng.chance(0.3) { AccessKind::Write } else { AccessKind::Read };
+                let probe = split.probe(block);
+                assert_eq!(probe.is_some(), reference.contains(block), "{kind} step {step}");
+                assert_eq!(
+                    probe.is_some_and(|h| h.dirty),
+                    reference.contains_dirty(block),
+                    "{kind} step {step}"
+                );
+                let want = reference.access(block, kind_rw);
+                let got = match probe {
+                    Some(hit) => {
+                        split.hit_at(hit, kind_rw);
+                        LookupResult::Hit
+                    }
+                    None => split.miss_at(block, kind_rw),
+                };
+                assert_eq!(got, want, "{kind} step {step}");
+            }
+            assert_eq!(split.stats(), reference.stats(), "{kind}");
+            let contents = |c: &Cache| {
+                let mut v: Vec<_> = c.blocks().map(|b| (b.raw(), c.contains_dirty(b))).collect();
+                v.sort_unstable();
+                v
+            };
+            assert_eq!(contents(&split), contents(&reference), "{kind}");
+        }
     }
 
     #[test]

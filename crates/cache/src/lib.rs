@@ -46,7 +46,7 @@ mod proptests;
 pub mod stats;
 
 pub use bloom::{BloomSignature, SignatureAccuracy};
-pub use cache::{AccessKind, Cache, EvictedBlock, LookupResult};
+pub use cache::{AccessKind, Cache, EvictedBlock, LookupResult, WayHit};
 pub use classify::{MissBreakdown, MissClass, ThreeCClassifier};
 pub use lru_list::LruList;
 pub use mshr::MshrFile;

@@ -53,7 +53,10 @@ impl MissShiftVector {
         if miss {
             self.ones += 1;
         }
-        self.head = (self.head + 1) % self.bits.len();
+        self.head += 1;
+        if self.head == self.bits.len() {
+            self.head = 0;
+        }
     }
 
     /// Misses among the recorded window.

@@ -38,6 +38,10 @@ pub struct Tlb {
     /// `log2(page_bytes)` when the page size is a power of two, so the
     /// per-access translation is a shift instead of a 64-bit divide.
     page_shift: Option<u32>,
+    /// The page of the latest access, which is always resident and at
+    /// the MRU end: a repeat needs no map lookup, and touching the MRU
+    /// slot would be a no-op.
+    mru_page: Option<u64>,
     hits: u64,
     misses: u64,
 }
@@ -70,6 +74,7 @@ impl Tlb {
             free: (0..entries).rev().collect(),
             page_bytes,
             page_shift: page_bytes.is_power_of_two().then(|| page_bytes.trailing_zeros()),
+            mru_page: None,
             hits: 0,
             misses: 0,
         }
@@ -82,11 +87,22 @@ impl Tlb {
 
     /// Translates `addr`: returns whether the page was resident, filling
     /// it on miss.
+    #[inline]
     pub fn access(&mut self, addr: Addr) -> bool {
         let page = match self.page_shift {
             Some(shift) => addr.raw() >> shift,
             None => addr.raw() / self.page_bytes,
         };
+        if self.mru_page == Some(page) {
+            self.hits += 1;
+            return true;
+        }
+        self.access_page(page)
+    }
+
+    /// The lookup for a page other than the latest one.
+    fn access_page(&mut self, page: u64) -> bool {
+        self.mru_page = Some(page);
         if let Some(&slot) = self.map.get(&page) {
             self.lru.touch(slot);
             self.hits += 1;
@@ -185,6 +201,43 @@ mod tests {
         assert!(t.access(Addr::new(HUGE_PAGE_BYTES - 1)));
         assert!(!t.access(Addr::new(HUGE_PAGE_BYTES)));
         assert_eq!(t.page_bytes(), HUGE_PAGE_BYTES);
+    }
+
+    #[test]
+    fn mru_shortcut_matches_a_naive_lru_model() {
+        for (entries, page_bytes) in [(1, PAGE_BYTES), (2, PAGE_BYTES), (8, 3000), (64, HUGE_PAGE_BYTES)] {
+            let mut tlb = Tlb::with_page_bytes(entries, page_bytes);
+            // Pages, most recent first.
+            let mut model: Vec<u64> = Vec::new();
+            let (mut hits, mut misses) = (0u64, 0u64);
+            let mut rng = slicc_common::SplitMix64::new(0x71b ^ entries as u64);
+            let mut addr = 0u64;
+            for step in 0..50_000 {
+                // Mostly same-page repeats, with near and far jumps.
+                match rng.next_below(8) {
+                    0 => addr = rng.next_below(96) * page_bytes + rng.next_below(page_bytes),
+                    1 => addr = addr.saturating_add(page_bytes),
+                    _ => addr = addr / page_bytes * page_bytes + rng.next_below(page_bytes),
+                }
+                let page = addr / page_bytes;
+                let want = match model.iter().position(|&p| p == page) {
+                    Some(i) => {
+                        model.remove(i);
+                        hits += 1;
+                        true
+                    }
+                    None => {
+                        model.truncate(entries - 1);
+                        misses += 1;
+                        false
+                    }
+                };
+                model.insert(0, page);
+                assert_eq!(tlb.access(Addr::new(addr)), want, "{entries} entries, step {step}");
+            }
+            assert_eq!((tlb.hits(), tlb.misses()), (hits, misses), "{entries} entries");
+            assert_eq!(tlb.occupancy(), model.len());
+        }
     }
 
     #[test]

@@ -136,6 +136,9 @@ pub struct L2Nuca {
     cache: Cache,
     dir: FastHashMap<BlockAddr, DirEntry>,
     num_banks: usize,
+    /// `num_banks - 1` when the bank count is a power of two, so
+    /// interleaving is a mask instead of a 64-bit remainder.
+    bank_mask: Option<u64>,
     hit_latency: Cycle,
     stats: L2Stats,
 }
@@ -152,6 +155,7 @@ impl L2Nuca {
             cache: Cache::new(geom, PolicyKind::Lru, seed),
             dir: FastHashMap::default(),
             num_banks,
+            bank_mask: num_banks.is_power_of_two().then(|| num_banks as u64 - 1),
             hit_latency,
             stats: L2Stats::default(),
         }
@@ -164,8 +168,12 @@ impl L2Nuca {
     }
 
     /// The bank holding `block` (address-interleaved).
+    #[inline]
     pub fn bank_of(&self, block: BlockAddr) -> usize {
-        (block.raw() % self.num_banks as u64) as usize
+        match self.bank_mask {
+            Some(mask) => (block.raw() & mask) as usize,
+            None => (block.raw() % self.num_banks as u64) as usize,
+        }
     }
 
     /// Number of banks.
@@ -411,6 +419,19 @@ mod tests {
         assert_eq!(l2.bank_of(BlockAddr::new(5)), 1);
         assert_eq!(l2.bank_of(BlockAddr::new(7)), 3);
         assert_eq!(l2.num_banks(), 4);
+    }
+
+    #[test]
+    fn bank_mask_matches_remainder_for_every_bank_count() {
+        let mut rng = slicc_common::SplitMix64::new(0xba4c);
+        for banks in [1usize, 2, 3, 4, 5, 6, 7, 8, 12, 16, 17, 32, 64] {
+            let l2 = L2Nuca::new(CacheGeometry::new(8 * 1024, 2, 64), banks, 16, 1);
+            for _ in 0..2_000 {
+                let raw = rng.next_u64() >> rng.next_below(64);
+                let want = (raw % banks as u64) as usize;
+                assert_eq!(l2.bank_of(BlockAddr::new(raw)), want, "{banks} banks, block {raw:#x}");
+            }
+        }
     }
 
     #[test]

@@ -8,12 +8,18 @@ use slicc_common::{Cycle, CoreId};
 /// Every core is co-located with one L2 bank at the same node (Table 2's
 /// 16-bank NUCA L2 on the 4×4 torus), so core-to-bank latency uses the
 /// same hop metric as core-to-core.
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+///
+/// Hop counts come from a `nodes × nodes` table built once at
+/// construction — every L2 request, coherence message and migration asks
+/// for one, and the coordinate arithmetic behind it costs four divisions.
+#[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Torus {
     cols: u32,
     rows: u32,
     hop_latency: Cycle,
     router_latency: Cycle,
+    /// `hop_table[a * nodes + b]` = minimal hops from node `a` to `b`.
+    hop_table: Box<[u16]>,
 }
 
 impl Torus {
@@ -35,7 +41,13 @@ impl Torus {
     /// Panics if either dimension is zero.
     pub fn with_latencies(cols: u32, rows: u32, hop_latency: Cycle, router_latency: Cycle) -> Self {
         assert!(cols > 0 && rows > 0, "torus dimensions must be positive");
-        Torus { cols, rows, hop_latency, router_latency }
+        let mut torus = Torus { cols, rows, hop_latency, router_latency, hop_table: Box::new([]) };
+        let nodes = torus.num_nodes() as u16;
+        torus.hop_table = (0..nodes)
+            .flat_map(|a| (0..nodes).map(move |b| (a, b)))
+            .map(|(a, b)| torus.hops_by_coords(CoreId::new(a), CoreId::new(b)) as u16)
+            .collect();
+        torus
     }
 
     /// The paper's 16-core configuration: a 4×4 torus (Table 2).
@@ -84,19 +96,34 @@ impl Torus {
         delta.min(size - delta)
     }
 
-    /// Minimal hop count between two nodes.
-    pub fn hops(&self, a: CoreId, b: CoreId) -> u32 {
+    /// Minimal hop count between two nodes, from their coordinates (what
+    /// the hop table caches).
+    fn hops_by_coords(&self, a: CoreId, b: CoreId) -> u32 {
         let (ax, ay) = self.coords(a);
         let (bx, by) = self.coords(b);
         Torus::dim_distance(ax.abs_diff(bx), self.cols) + Torus::dim_distance(ay.abs_diff(by), self.rows)
     }
 
+    /// Minimal hop count between two nodes.
+    ///
+    /// # Panics
+    ///
+    /// Panics if either node is out of range.
+    #[inline]
+    pub fn hops(&self, a: CoreId, b: CoreId) -> u32 {
+        let nodes = self.num_nodes();
+        assert!(a.index() < nodes && b.index() < nodes, "node out of range for {}x{} torus", self.cols, self.rows);
+        self.hop_table[a.index() * nodes + b.index()] as u32
+    }
+
     /// One-way transfer latency between two nodes.
+    #[inline]
     pub fn latency(&self, a: CoreId, b: CoreId) -> Cycle {
         self.router_latency + self.hops(a, b) as Cycle * self.hop_latency
     }
 
     /// Round-trip latency between two nodes (request + response).
+    #[inline]
     pub fn round_trip(&self, a: CoreId, b: CoreId) -> Cycle {
         2 * self.latency(a, b)
     }
@@ -273,6 +300,30 @@ mod tests {
         // (0,0) -> (3,0): one wrap-around hop, not three forward hops.
         let path = noc.route(CoreId::new(0), CoreId::new(3));
         assert_eq!(path.len(), 2);
+    }
+
+    #[test]
+    fn hop_table_matches_coordinate_arithmetic() {
+        for noc in [Torus::new(4, 4), Torus::new(3, 5), Torus::with_latencies(5, 3, 2, 7)] {
+            let n = noc.num_nodes() as u16;
+            for a in 0..n {
+                for b in 0..n {
+                    let (a, b) = (CoreId::new(a), CoreId::new(b));
+                    // The pre-table formula, restated independently.
+                    let (ax, ay) = (a.index() as u32 % noc.cols(), a.index() as u32 / noc.cols());
+                    let (bx, by) = (b.index() as u32 % noc.cols(), b.index() as u32 / noc.cols());
+                    let dx = ax.abs_diff(bx).min(noc.cols() - ax.abs_diff(bx));
+                    let dy = ay.abs_diff(by).min(noc.rows() - ay.abs_diff(by));
+                    assert_eq!(noc.hops(a, b), dx + dy, "{}x{}: {a}->{b}", noc.cols(), noc.rows());
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "out of range")]
+    fn out_of_range_hops_panics() {
+        t().hops(CoreId::new(0), CoreId::new(16));
     }
 
     #[test]

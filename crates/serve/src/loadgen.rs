@@ -20,8 +20,10 @@ use crate::client::Client;
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Scenario {
     /// Every connection submits the same key sequence concurrently: the
-    /// server must execute each distinct key exactly once (coalescing
-    /// plus memoization absorb the rest) and shed nothing.
+    /// server must execute each distinct key at most once (coalescing
+    /// plus memoization absorb the rest) and shed nothing. Keys already
+    /// resident from an earlier drill are all absorbed, so the drill
+    /// repeats against a warm server.
     Stampede,
     /// More concurrent distinct submissions than the server will admit
     /// (run it with `--queue-limit 0`): some must come back as
@@ -90,6 +92,8 @@ pub struct LoadgenReport {
     pub distinct: usize,
     pub ok: usize,
     pub from_cache_or_coalesced: usize,
+    /// Keys that came back fresh (`from_cache=false`) more than once.
+    pub refreshed_keys: usize,
     pub retry_after: usize,
     pub run_errors: usize,
     /// Frames we could not decode, digest mismatches between duplicates
@@ -138,19 +142,29 @@ impl LoadgenReport {
                         self.delta_shed_points
                     ));
                 }
-                if self.delta_cache_misses != self.distinct as u64 {
+                if self.refreshed_keys != 0 {
                     return Err(format!(
-                        "stampede: {} distinct keys but {} fresh simulations — \
-                         duplicates must coalesce to exactly one flight per key",
-                        self.distinct, self.delta_cache_misses
+                        "stampede: {} key(s) simulated fresh more than once — \
+                         duplicates must coalesce to one flight per key",
+                        self.refreshed_keys
+                    ));
+                }
+                // A warm server answers every key from its cache, so the
+                // fresh count is whatever the clients saw, not `distinct`.
+                let fresh = self.ok - self.from_cache_or_coalesced;
+                if self.delta_cache_misses != fresh as u64 {
+                    return Err(format!(
+                        "stampede: clients saw {fresh} fresh result(s) but the server \
+                         counted {} fresh simulations",
+                        self.delta_cache_misses
                     ));
                 }
                 let absorbed = self.delta_coalesced_hits + self.delta_cache_hits;
-                if absorbed != (self.submitted - self.distinct) as u64 {
+                if absorbed != (self.submitted - fresh) as u64 {
                     return Err(format!(
                         "stampede: {absorbed} submissions absorbed by cache+coalescing, \
                          expected {}",
-                        self.submitted - self.distinct
+                        self.submitted - fresh
                     ));
                 }
                 Ok(())
@@ -176,7 +190,8 @@ impl LoadgenReport {
         format!(
             concat!(
                 "{{\"scenario\":{},\"submitted\":{},\"distinct\":{},\"ok\":{},",
-                "\"from_cache_or_coalesced\":{},\"retry_after\":{},\"run_errors\":{},",
+                "\"from_cache_or_coalesced\":{},\"refreshed_keys\":{},",
+                "\"retry_after\":{},\"run_errors\":{},",
                 "\"client_errors\":{},\"delta_cache_misses\":{},\"delta_coalesced_hits\":{},",
                 "\"delta_cache_hits\":{},\"delta_shed_points\":{},\"recovered\":{},",
                 "\"elapsed_ms\":{},\"submits_per_sec\":{}}}"
@@ -186,6 +201,7 @@ impl LoadgenReport {
             self.distinct,
             self.ok,
             self.from_cache_or_coalesced,
+            self.refreshed_keys,
             self.retry_after,
             self.run_errors,
             self.client_errors.len(),
@@ -201,25 +217,31 @@ impl LoadgenReport {
 }
 
 /// Per-key digest registry: every duplicate submission of one key must
-/// report the same digest, no matter which client it raced in on.
+/// report the same digest, no matter which client it raced in on. Also
+/// counts each key's fresh (`from_cache=false`) results.
 #[derive(Default)]
 struct DigestBook {
-    seen: Mutex<HashMap<String, String>>,
+    /// Key -> (first digest seen, fresh results).
+    seen: Mutex<HashMap<String, (String, usize)>>,
     mismatches: Mutex<Vec<String>>,
 }
 
 impl DigestBook {
-    fn record(&self, key: &str, digest: &str) {
+    fn record(&self, key: &str, digest: &str, from_cache: bool) {
         let mut seen = lock_unpoisoned(&self.seen);
-        match seen.get(key) {
-            None => {
-                seen.insert(key.to_string(), digest.to_string());
-            }
-            Some(expected) if expected == digest => {}
-            Some(expected) => lock_unpoisoned(&self.mismatches).push(format!(
+        let (expected, fresh) =
+            seen.entry(key.to_string()).or_insert_with(|| (digest.to_string(), 0));
+        *fresh += usize::from(!from_cache);
+        if expected != digest {
+            lock_unpoisoned(&self.mismatches).push(format!(
                 "key {key}: digest {digest} disagrees with earlier {expected}"
-            )),
+            ));
         }
+    }
+
+    /// Keys with more than one fresh result.
+    fn refreshed_keys(&self) -> usize {
+        lock_unpoisoned(&self.seen).values().filter(|(_, fresh)| *fresh > 1).count()
     }
 }
 
@@ -275,7 +297,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                                 if from_cache {
                                     tally.cached += 1;
                                 }
-                                digests.record(&key, &digest);
+                                digests.record(&key, &digest, from_cache);
                             }
                             Ok(crate::client::Submitted::RetryAfter { .. }) => {
                                 tally.retry_after += 1;
@@ -319,6 +341,7 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     report
         .client_errors
         .extend(std::mem::take(&mut *lock_unpoisoned(&digests.mismatches)));
+    report.refreshed_keys = digests.refreshed_keys();
 
     // Overload: prove the server recovers once the burst subsides — a
     // fresh serial submission (new key, nothing to coalesce onto) must

@@ -66,12 +66,17 @@ use slicc_common::{lock_unpoisoned, ArtifactIo, CancelToken, StableHash, StableH
 use slicc_obs::{ObsConfig, Observation, ProgressEvent, Reporter, WarningsOnlyReporter};
 use slicc_trace::{TraceScale, Workload, WorkloadSpec};
 use std::collections::HashMap;
-use std::collections::hash_map::Entry;
 use std::panic::{self, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
 use std::time::{Duration, Instant};
+
+/// Workload specs the runner memoizes per worker thread: room for every
+/// job's current trace plus a few recently used ones, so a figure sweep
+/// (a handful of traces) never rebuilds while a service fed a stream of
+/// fresh seeds holds a fixed number.
+const SPEC_MEMO_PER_JOB: usize = 4;
 
 /// A typed experiment point: which workload to run, at what scale, on what
 /// machine. Equal requests describe byte-identical simulations, which is
@@ -474,9 +479,12 @@ pub struct Runner {
     /// The memoized run cache: byte-weighted, LRU-evicting, bounded by
     /// [`Runner::set_cache_bytes`].
     cache: Mutex<BoundedResultCache>,
-    /// Materialized traces keyed by [`RunRequest::spec_key`]: every mode
-    /// variant of a (workload, scale) point shares one spec build.
-    specs: Mutex<HashMap<u64, Arc<WorkloadSpec>>>,
+    /// Materialized traces keyed by [`RunRequest::spec_key`], least
+    /// recently used first: every mode variant of a (workload, scale)
+    /// point shares one spec build. Bounded to [`SPEC_MEMO_PER_JOB`] ×
+    /// `jobs` entries — specs sit outside the run cache's byte budget, so
+    /// a long-lived service fed fresh seeds must not keep them all.
+    specs: Mutex<Vec<(u64, Arc<WorkloadSpec>)>>,
     checkpoint: Mutex<Option<Checkpoint>>,
     /// Telemetry sink for progress events. Defaults to
     /// [`WarningsOnlyReporter`] so embedding code keeps a quiet stderr
@@ -521,7 +529,7 @@ impl Runner {
         Runner {
             jobs: jobs.max(1),
             cache: Mutex::new(BoundedResultCache::new(DEFAULT_CACHE_BYTES)),
-            specs: Mutex::new(HashMap::new()),
+            specs: Mutex::new(Vec::new()),
             checkpoint: Mutex::new(None),
             reporter: Mutex::new(Arc::new(WarningsOnlyReporter::stderr())),
             cancel: CancelToken::new(),
@@ -954,19 +962,33 @@ impl Runner {
         lock_unpoisoned(&self.cache).len()
     }
 
-    /// The memoized spec for `req`, materializing it on first use. The
-    /// lock is held across the build so concurrent workers asking for the
-    /// same (workload, scale) wait for one build instead of racing their
-    /// own; a build is milliseconds against simulations of seconds.
+    /// The memoized spec for `req`, materializing it on first use and
+    /// evicting the least recently used spec beyond the memo's bound
+    /// (points still running on it keep their own `Arc`). The lock is
+    /// held across the build so concurrent workers asking for the same
+    /// (workload, scale) wait for one build instead of racing their own;
+    /// a build is milliseconds against simulations of seconds.
     fn spec_for(&self, req: &RunRequest) -> Arc<WorkloadSpec> {
+        let key = req.spec_key();
         let mut specs = lock_unpoisoned(&self.specs);
-        match specs.entry(req.spec_key()) {
-            Entry::Occupied(e) => Arc::clone(e.get()),
-            Entry::Vacant(v) => {
+        let spec = match specs.iter().position(|(k, _)| *k == key) {
+            Some(i) => specs.remove(i).1,
+            None => {
                 self.spec_builds.fetch_add(1, Ordering::Relaxed);
-                Arc::clone(v.insert(Arc::new(req.spec())))
+                Arc::new(req.spec())
             }
+        };
+        specs.push((key, Arc::clone(&spec)));
+        if specs.len() > SPEC_MEMO_PER_JOB * self.jobs {
+            specs.remove(0);
         }
+        spec
+    }
+
+    /// Specs currently memoized (at most [`SPEC_MEMO_PER_JOB`] × `jobs`).
+    #[cfg(test)]
+    fn resident_specs(&self) -> usize {
+        lock_unpoisoned(&self.specs).len()
     }
 
     /// Executes one point with panic containment: a panic anywhere in the
@@ -1400,6 +1422,33 @@ mod tests {
         let stats = runner.stats();
         assert_eq!(stats.cache_misses, reqs.len() as u64, "every mode simulates");
         assert_eq!(stats.spec_builds, 1, "all modes share one materialized trace");
+    }
+
+    #[test]
+    fn spec_memo_stays_bounded_under_fresh_seeds_from_a_service() {
+        use crate::service::{ServiceConfig, SimService};
+        let runner = Arc::new(Runner::new(2));
+        let service = SimService::new(
+            Arc::clone(&runner),
+            ServiceConfig { max_inflight: 2, queue_limit: 8 },
+        );
+        let bound = SPEC_MEMO_PER_JOB * runner.jobs();
+        let seeds = 3 * bound as u64;
+        for seed in 0..seeds {
+            service.submit(&tiny_request().with_seed(seed)).expect("fresh seed completes");
+            assert!(
+                runner.resident_specs() <= bound,
+                "{} specs resident after seed {seed}, bound {bound}",
+                runner.resident_specs()
+            );
+        }
+        assert_eq!(runner.stats().spec_builds, seeds, "every fresh seed is a new trace");
+        // The most recent trace is still memoized; the oldest was evicted.
+        let recent = tiny_request().with_seed(seeds - 1).with_mode(SchedulerMode::Slicc);
+        service.submit(&recent).expect("recent seed, new mode");
+        assert_eq!(runner.stats().spec_builds, seeds, "a resident spec is reused");
+        service.submit(&tiny_request().with_seed(0).with_mode(SchedulerMode::Slicc)).expect("oldest seed");
+        assert_eq!(runner.stats().spec_builds, seeds + 1, "an evicted spec is rebuilt");
     }
 
     #[test]

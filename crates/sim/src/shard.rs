@@ -155,14 +155,23 @@ pub(crate) fn run_segment(
             return SegmentReport { records, stop: StopReason::Exhausted };
         };
         let block = rec.pc.block_default();
-        let transition = site.last_iblock != Some(block);
-        if transition && (params.fetch_transition_blocks || !site.l1i.contains(block)) {
-            return SegmentReport { records, stop: StopReason::Blocking };
+        // One probe per cache classifies the record, and execution below
+        // reuses the ways it found: the L1-I and L1-D are distinct
+        // caches, so nothing in between can move either block.
+        let mut ihit = None;
+        if site.last_iblock != Some(block) {
+            match site.l1i.probe(block) {
+                Some(hit) if !params.fetch_transition_blocks => ihit = Some(hit),
+                _ => return SegmentReport { records, stop: StopReason::Blocking },
+            }
         }
-        let data = rec.data.map(|d| (d.addr.block_default(), d.is_store));
-        if let Some((dblock, is_store)) = data {
-            if !site.l1d.contains(dblock) || (is_store && !site.l1d.contains_dirty(dblock)) {
-                return SegmentReport { records, stop: StopReason::Blocking };
+        let mut dhit = None;
+        if let Some(d) = rec.data {
+            let dblock = d.addr.block_default();
+            match site.l1d.probe(dblock) {
+                // A store to a clean line needs a directory upgrade.
+                Some(hit) if hit.dirty || !d.is_store => dhit = Some((dblock, d.is_store, hit)),
+                _ => return SegmentReport { records, stop: StopReason::Blocking },
             }
         }
 
@@ -170,10 +179,10 @@ pub(crate) fn run_segment(
         // exact order of the sequential per-record body.
         stream.advance();
         site.timer.retire_instruction();
-        if transition {
+        if let Some(hit) = ihit {
             site.last_iblock = Some(block);
             let fetch_start = if sink.is_enabled() { site.timer.now() } else { 0 };
-            site.private_ifetch_hit(block, params);
+            site.private_ifetch_hit(block, hit, params);
             if params.uses_agents {
                 site.agent.on_fetch(true, None);
             }
@@ -191,8 +200,8 @@ pub(crate) fn run_segment(
                 }
             }
         }
-        if let Some((dblock, is_store)) = data {
-            site.private_data_hit(dblock, is_store, params);
+        if let Some((dblock, is_store, hit)) = dhit {
+            site.private_data_hit(dblock, is_store, hit, params);
         }
         records += 1;
     }

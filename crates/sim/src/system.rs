@@ -32,8 +32,8 @@
 use crate::config::SimConfig;
 use crate::metrics::RunMetrics;
 use slicc_cache::{
-    AccessKind, BloomSignature, Cache, EvictedBlock, MissBreakdown, MissClass, NextLinePrefetcher,
-    Pif, SignatureAccuracy, ThreeCClassifier,
+    AccessKind, BloomSignature, Cache, EvictedBlock, LookupResult, MissBreakdown, MissClass,
+    NextLinePrefetcher, Pif, SignatureAccuracy, ThreeCClassifier, WayHit,
 };
 use slicc_common::{BlockAddr, CoreId, Cycle, Merge};
 use slicc_core::{CoreMask, SliccAgent};
@@ -82,34 +82,39 @@ pub(crate) struct SegmentParams {
 }
 
 impl CoreSite {
-    /// One private instruction-fetch block transition. Callers guarantee
-    /// `l1i.contains(block)` and `!fetch_transition_blocks`; this mirrors
-    /// the hit path of [`System::ifetch`] exactly — TLB, L1-I access
-    /// (recency update, no eviction possible), 3C observation, timer
-    /// charge — and must stay in lockstep with it.
-    pub(crate) fn private_ifetch_hit(&mut self, block: BlockAddr, p: &SegmentParams) {
+    /// One private instruction-fetch block transition. Callers pass the
+    /// L1-I probe that found `block` and guarantee
+    /// `!fetch_transition_blocks`; this mirrors the hit path of
+    /// [`System::ifetch`] exactly — TLB, L1-I hit (recency update, no
+    /// eviction possible), 3C observation, timer charge — and must stay
+    /// in lockstep with it.
+    pub(crate) fn private_ifetch_hit(&mut self, block: BlockAddr, hit: WayHit, p: &SegmentParams) {
         if !self.itlb.access(block.base_addr(64)) {
             self.timer.tlb_walk(p.tlb_walk_cycles, true);
         }
-        let result = self.l1i.access(block, AccessKind::Read);
-        debug_assert!(result.is_hit(), "private fetch classified as hit must hit");
+        self.l1i.hit_at(hit, AccessKind::Read);
         if let Some(c) = &mut self.i_classifier {
             c.observe(block);
         }
         self.timer.ifetch_hit(p.l1i_latency);
     }
 
-    /// One private data access. Callers guarantee the L1-D holds the
-    /// block (dirty, for stores); mirrors the hit path of
-    /// [`System::data_access`] — TLB, L1-D access, 3C observation, no
-    /// timer charge — and must stay in lockstep with it.
-    pub(crate) fn private_data_hit(&mut self, block: BlockAddr, is_store: bool, p: &SegmentParams) {
+    /// One private data access. Callers pass the L1-D probe that found
+    /// the block (dirty, for stores); mirrors the hit path of
+    /// [`System::data_access`] — TLB, L1-D hit, 3C observation, no timer
+    /// charge — and must stay in lockstep with it.
+    pub(crate) fn private_data_hit(
+        &mut self,
+        block: BlockAddr,
+        is_store: bool,
+        hit: WayHit,
+        p: &SegmentParams,
+    ) {
         if !self.dtlb.access(block.base_addr(64)) {
             self.timer.tlb_walk(p.tlb_walk_cycles, false);
         }
         let kind = if is_store { AccessKind::Write } else { AccessKind::Read };
-        let result = self.l1d.access(block, kind);
-        debug_assert!(result.is_hit(), "private data access classified as hit must hit");
+        self.l1d.hit_at(hit, kind);
         if let Some(c) = &mut self.d_classifier {
             c.observe(block);
         }
@@ -465,8 +470,13 @@ impl System {
 
         let (result, was_dirty) = {
             let site = self.site_mut(i);
-            let was_dirty = site.l1d.contains_dirty(block);
-            let result = site.l1d.access(block, kind);
+            let (result, was_dirty) = match site.l1d.probe(block) {
+                Some(hit) => {
+                    site.l1d.hit_at(hit, kind);
+                    (LookupResult::Hit, hit.dirty)
+                }
+                None => (site.l1d.miss_at(block, kind), false),
+            };
             if let Some(c) = &mut site.d_classifier {
                 if result.is_hit() {
                     c.observe(block);

@@ -59,12 +59,43 @@ pub struct ThreadTrace<'a> {
     block: u32,
     instr: u32,
     finished: bool,
+    /// Live blocks of the current visit's segment.
+    seg_blocks: u32,
+    /// Byte address of the current block, re-derived only when the
+    /// cursor moves to a new block; each record's pc offsets from it.
+    block_base: u64,
 
     // Data-access state.
+    data: DataCursor,
     recent: Vec<u64>,
     recent_next: usize,
-    stream_pos: u64,
     emitted: u64,
+}
+
+/// The thread's data-reference pattern with every per-thread constant
+/// resolved once at construction.
+#[derive(Clone, Debug)]
+enum DataCursor {
+    OltpMix {
+        p_hot: f64,
+        /// `p_hot + p_recent`: the upper bound of the recent-block draw.
+        p_hot_or_recent: f64,
+        hot_store_frac: f64,
+        /// Store rate on private blocks: they absorb the stores the
+        /// read-mostly hot region does not, keeping the overall store
+        /// fraction at `store_frac` (§5.5: 45%).
+        private_store_frac: f64,
+        hot_base: u64,
+    },
+    Streaming {
+        /// First block of the thread's partition.
+        base: u64,
+        partition: u64,
+        /// Current block within the partition.
+        block: u64,
+        /// Accesses made to the current block so far.
+        touches: u64,
+    },
 }
 
 impl<'a> ThreadTrace<'a> {
@@ -90,7 +121,31 @@ impl<'a> ThreadTrace<'a> {
                     .clone()
             })
             .collect();
-        ThreadTrace {
+        let data = &spec.data;
+        let data = match data.pattern {
+            DataPattern::OltpMix { p_hot, p_recent, hot_store_frac } => DataCursor::OltpMix {
+                p_hot,
+                p_hot_or_recent: p_hot + p_recent,
+                hot_store_frac,
+                private_store_frac: ((data.store_frac - p_hot * hot_store_frac) / (1.0 - p_hot))
+                    .clamp(0.0, 1.0),
+                hot_base: spec.hot_region_base(txn_type),
+            },
+            DataPattern::Streaming => {
+                let partition = (data.db_blocks / spec.num_tasks.max(1) as u64).max(1);
+                // Scans start at a per-thread offset and wrap within the
+                // partition: aligned starts would phase-lock every
+                // thread's DRAM channel/bank sequence.
+                let offset = SplitMix64::new(0x5ca0 ^ thread.raw() as u64).next_below(partition);
+                DataCursor::Streaming {
+                    base: DB_REGION_FIRST_BLOCK + thread.raw() as u64 * partition,
+                    partition,
+                    block: offset,
+                    touches: 0,
+                }
+            }
+        };
+        let mut trace = ThreadTrace {
             spec,
             thread,
             txn_type,
@@ -103,11 +158,15 @@ impl<'a> ThreadTrace<'a> {
             block: 0,
             instr: 0,
             finished: false,
+            seg_blocks: 0,
+            block_base: 0,
+            data,
             recent: Vec::with_capacity(RECENT_WINDOW),
             recent_next: 0,
-            stream_pos: 0,
             emitted: 0,
-        }
+        };
+        trace.locate_visit();
+        trace
     }
 
     /// The thread this trace belongs to.
@@ -161,23 +220,25 @@ impl<'a> ThreadTrace<'a> {
     }
 
     /// Generates this instruction's data reference, if any.
+    #[inline]
     fn gen_data(&mut self) -> Option<DataAccess> {
         let data = &self.spec.data;
         if !self.rng.chance(data.data_ratio) {
             return None;
         }
-        let (block, is_store) = match data.pattern {
-            DataPattern::OltpMix { p_hot, p_recent, hot_store_frac } => {
-                // Private regions absorb the stores the read-mostly hot
-                // region does not, keeping the overall store fraction at
-                // `store_frac` (§5.5: 45%).
-                let private_store_frac =
-                    ((data.store_frac - p_hot * hot_store_frac) / (1.0 - p_hot)).clamp(0.0, 1.0);
+        let (block, is_store) = match &mut self.data {
+            &mut DataCursor::OltpMix {
+                p_hot,
+                p_hot_or_recent,
+                hot_store_frac,
+                private_store_frac,
+                hot_base,
+            } => {
                 let r = self.rng.next_f64();
                 if r < p_hot {
-                    let b = self.spec.hot_region_base(self.txn_type) + self.rng.next_below(data.hot_blocks);
+                    let b = hot_base + self.rng.next_below(data.hot_blocks);
                     (b, self.rng.chance(hot_store_frac))
-                } else if r < p_hot + p_recent && !self.recent.is_empty() {
+                } else if r < p_hot_or_recent && !self.recent.is_empty() {
                     let idx = self.rng.next_below(self.recent.len() as u64) as usize;
                     (self.recent[idx], self.rng.chance(private_store_frac))
                 } else {
@@ -186,32 +247,44 @@ impl<'a> ThreadTrace<'a> {
                     (b, self.rng.chance(private_store_frac))
                 }
             }
-            DataPattern::Streaming => {
-                let partition = (data.db_blocks / self.spec.num_tasks.max(1) as u64).max(1);
-                let base = DB_REGION_FIRST_BLOCK + self.thread.raw() as u64 * partition;
-                // Scans start at a per-thread offset and wrap within the
-                // partition: aligned starts would phase-lock every
-                // thread's DRAM channel/bank sequence.
-                let offset = SplitMix64::new(0x5ca0 ^ self.thread.raw() as u64).next_below(partition);
-                let b = base + (offset + self.stream_pos / STREAM_ACCESSES_PER_BLOCK) % partition;
-                self.stream_pos += 1;
+            DataCursor::Streaming { base, partition, block, touches } => {
+                let b = *base + *block;
+                *touches += 1;
+                if *touches == STREAM_ACCESSES_PER_BLOCK {
+                    *touches = 0;
+                    *block += 1;
+                    if *block == *partition {
+                        *block = 0;
+                    }
+                }
                 (b, self.rng.chance(data.store_frac))
             }
         };
         Some(DataAccess { addr: Addr::new(block * 64), is_store })
     }
 
-    /// Number of blocks in the current cluster (the last cluster of a
-    /// segment may be short).
-    fn cluster_len(&self) -> u32 {
-        let n = self.spec.pool.segment(self.plan[self.visit]).num_blocks();
-        (n - self.cluster * CLUSTER_BLOCKS).min(CLUSTER_BLOCKS)
+    /// Enters the current visit's segment and locates its first block.
+    fn locate_visit(&mut self) {
+        if let Some(&seg) = self.plan.get(self.visit) {
+            self.seg_blocks = self.spec.pool.segment(seg).num_blocks();
+            self.locate_block();
+        } else {
+            self.finished = true;
+        }
+    }
+
+    /// Re-derives the current block's byte address from the cursor.
+    fn locate_block(&mut self) {
+        let seg = self.spec.pool.segment(self.plan[self.visit]);
+        let pos = self.cluster * CLUSTER_BLOCKS + self.block;
+        self.block_base = seg.block(self.orders[self.visit][pos as usize]).base_addr(64).raw();
     }
 
     /// Moves the cursor to the next block / cluster pass / cluster /
     /// visit, sampling control-flow skips.
     fn advance_block(&mut self) {
-        let len = self.cluster_len();
+        // The last cluster of a segment may be short.
+        let len = (self.seg_blocks - self.cluster * CLUSTER_BLOCKS).min(CLUSTER_BLOCKS);
         loop {
             self.block += 1;
             // Conditional control flow occasionally skips a block.
@@ -226,16 +299,15 @@ impl<'a> ThreadTrace<'a> {
             if self.pass >= self.spec.code.passes_per_visit {
                 self.pass = 0;
                 self.cluster += 1;
-                let n = self.spec.pool.segment(self.plan[self.visit]).num_blocks();
-                if self.cluster * CLUSTER_BLOCKS >= n {
+                if self.cluster * CLUSTER_BLOCKS >= self.seg_blocks {
                     self.cluster = 0;
                     self.visit += 1;
-                    if self.visit >= self.plan.len() {
-                        self.finished = true;
-                    }
+                    self.locate_visit();
+                    return;
                 }
             }
         }
+        self.locate_block();
     }
 }
 
@@ -268,10 +340,8 @@ impl Iterator for ThreadTrace<'_> {
         if self.finished {
             return None;
         }
-        let seg = self.spec.pool.segment(self.plan[self.visit]);
-        let pos = self.cluster * CLUSTER_BLOCKS + self.block;
-        let block_index = self.orders[self.visit][pos as usize];
-        let pc = seg.instr_addr(block_index, self.instr);
+        // 4-byte instructions from the current block's base.
+        let pc = Addr::new(self.block_base + self.instr as u64 * 4);
         let data = self.gen_data();
         self.emitted += 1;
 

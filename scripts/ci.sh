@@ -8,6 +8,11 @@ cargo build --release
 cargo test -q
 cargo clippy --workspace --all-targets -- -D warnings
 
+# Benchmark lane: the repository benchmark (perfbench/, its own package
+# outside the workspace) replays the layers' public hot-path functions, so
+# an API change there must fail CI here rather than break the benchmark.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 # API-freeze lane: the PR-6 engine shims are gone — the removed entry
 # points may not exist anywhere in-tree, by any name, even as a
 # definition. Migrate to RunSession (or the Runner/SimService above it).

@@ -384,3 +384,29 @@ fn loadgen_stampede_drill_passes() {
     server.cancel_token().cancel();
     handle.join().expect("server thread").expect("clean drain");
 }
+
+/// The stampede drill is repeatable: a second run against the same,
+/// now warm server finds every key resident, simulates nothing, and
+/// still passes.
+#[test]
+fn loadgen_stampede_drill_repeats_against_a_warm_server() {
+    let server = Arc::new(tiny_server(2, 64, ServerConfig::default()));
+    let (addr, handle) = spawn_server(Arc::clone(&server));
+
+    let mut cfg = LoadgenConfig::new(addr, Scenario::Stampede);
+    cfg.connections = 4;
+    cfg.per_connection = 12;
+    cfg.distinct = 4;
+    let cold = loadgen::run(&cfg).expect("cold drill runs");
+    cold.check().unwrap_or_else(|violation| panic!("cold stampede violated: {violation}"));
+    assert_eq!(cold.delta_cache_misses, 4, "the cold drill simulates each key once");
+
+    let warm = loadgen::run(&cfg).expect("warm drill runs");
+    warm.check().unwrap_or_else(|violation| panic!("warm stampede violated: {violation}"));
+    assert_eq!(warm.delta_cache_misses, 0, "a warm server simulates nothing");
+    assert_eq!(warm.from_cache_or_coalesced, warm.submitted, "every warm result is cached");
+    assert_eq!(warm.refreshed_keys, 0);
+
+    server.cancel_token().cancel();
+    handle.join().expect("server thread").expect("clean drain");
+}
