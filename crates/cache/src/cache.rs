@@ -269,11 +269,6 @@ impl Cache {
         self.find_way(self.geom.set_index(block), self.geom.tag(block)).is_some()
     }
 
-    /// Whether `block` is cached dirty. No state change.
-    pub fn contains_dirty(&self, block: BlockAddr) -> bool {
-        self.probe(block).is_some_and(|hit| hit.dirty)
-    }
-
     /// Removes `block` (coherence invalidation). Returns the block's state
     /// if it was present.
     pub fn invalidate(&mut self, block: BlockAddr) -> Option<EvictedBlock> {
@@ -356,6 +351,10 @@ mod tests {
         Cache::new(CacheGeometry::new(256, 2, 64), policy, 1)
     }
 
+    fn is_dirty(c: &Cache, b: BlockAddr) -> bool {
+        c.probe(b).is_some_and(|hit| hit.dirty)
+    }
+
     #[test]
     fn miss_then_hit() {
         let mut c = small_cache(PolicyKind::Lru);
@@ -396,7 +395,7 @@ mod tests {
         let mut c = small_cache(PolicyKind::Lru);
         let (b0, b2, b4) = (BlockAddr::new(0), BlockAddr::new(2), BlockAddr::new(4));
         c.access(b0, AccessKind::Write);
-        assert!(c.contains_dirty(b0));
+        assert!(is_dirty(&c, b0));
         c.access(b2, AccessKind::Read);
         let res = c.access(b4, AccessKind::Read);
         assert_eq!(res.evicted(), Some(EvictedBlock { block: b0, dirty: true }));
@@ -409,9 +408,9 @@ mod tests {
         let mut c = small_cache(PolicyKind::Lru);
         let b = BlockAddr::new(0);
         c.access(b, AccessKind::Read);
-        assert!(!c.contains_dirty(b));
+        assert!(!is_dirty(&c, b));
         c.access(b, AccessKind::Write);
-        assert!(c.contains_dirty(b));
+        assert!(is_dirty(&c, b));
     }
 
     #[test]
@@ -433,7 +432,7 @@ mod tests {
         c.access(b, AccessKind::Write);
         assert!(c.clean(b));
         assert!(c.contains(b));
-        assert!(!c.contains_dirty(b));
+        assert!(!is_dirty(&c, b));
         assert!(!c.clean(b)); // already clean
         assert!(!c.clean(BlockAddr::new(99))); // absent
     }
@@ -505,6 +504,8 @@ mod tests {
             let geom = CacheGeometry::new(2048, 4, 64); // 8 sets x 4 ways
             let mut reference = Cache::new(geom, kind, 11);
             let mut split = Cache::new(geom, kind, 11);
+            // Blocks written since they were last installed clean.
+            let mut dirty = std::collections::HashSet::new();
             let mut rng = slicc_common::SplitMix64::new(0x9b0be ^ kind as u64);
             for step in 0..20_000 {
                 // 64 blocks over 32 lines: a mix of hits, misses and evictions.
@@ -512,11 +513,9 @@ mod tests {
                 let kind_rw = if rng.chance(0.3) { AccessKind::Write } else { AccessKind::Read };
                 let probe = split.probe(block);
                 assert_eq!(probe.is_some(), reference.contains(block), "{kind} step {step}");
-                assert_eq!(
-                    probe.is_some_and(|h| h.dirty),
-                    reference.contains_dirty(block),
-                    "{kind} step {step}"
-                );
+                if let Some(hit) = probe {
+                    assert_eq!(hit.dirty, dirty.contains(&block), "{kind} step {step}");
+                }
                 let want = reference.access(block, kind_rw);
                 let got = match probe {
                     Some(hit) => {
@@ -526,10 +525,16 @@ mod tests {
                     None => split.miss_at(block, kind_rw),
                 };
                 assert_eq!(got, want, "{kind} step {step}");
+                if let Some(ev) = want.evicted() {
+                    assert_eq!(ev.dirty, dirty.remove(&ev.block), "{kind} step {step}");
+                }
+                if kind_rw.is_write() {
+                    dirty.insert(block);
+                }
             }
             assert_eq!(split.stats(), reference.stats(), "{kind}");
             let contents = |c: &Cache| {
-                let mut v: Vec<_> = c.blocks().map(|b| (b.raw(), c.contains_dirty(b))).collect();
+                let mut v: Vec<_> = c.blocks().map(|b| (b.raw(), is_dirty(c, b))).collect();
                 v.sort_unstable();
                 v
             };
