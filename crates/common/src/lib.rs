@@ -20,8 +20,9 @@
 //! - poison-recovering mutex access ([`lock_unpoisoned`]), cooperative
 //!   cancellation ([`CancelToken`]) and SIGINT/SIGTERM wiring — see
 //!   [`sync`];
-//! - a process-global scoped worker pool ([`pool::scope`]) shared by
-//!   [`parallel_map`] and the engine's shard lanes — see [`pool`];
+//! - a process-global scoped worker pool ([`pool::scope`]) behind the
+//!   engine's shard lanes and decode feeders, and the process-wide CPU
+//!   budget ([`pool::seat`]) that admits feeders — see [`pool`];
 //! - crash-safe artifact emission ([`atomic_write`]) and the injectable
 //!   [`ArtifactIo`] layer for chaos testing — see [`io`];
 //! - the [`Merge`] trait unifying statistics aggregation — see [`merge`].
@@ -75,8 +76,7 @@ pub use mask::CoreMask;
 pub use merge::Merge;
 pub use rng::SplitMix64;
 pub use sync::{
-    install_shutdown_cancel, install_sigint_cancel, lock_unpoisoned, parallel_map, sigint_count,
-    CancelToken,
+    install_shutdown_cancel, install_sigint_cancel, lock_unpoisoned, sigint_count, CancelToken,
 };
 
 /// Simulated clock cycles.

@@ -1,9 +1,8 @@
-//! A process-global, lazily-built worker pool with a scoped fork-join API.
+//! A process-global, lazily-built worker pool with a scoped fork-join API,
+//! and the process-wide CPU budget that decides who may use it.
 //!
-//! The workspace has two distinct fan-out consumers — [`parallel_map`]'s
-//! pre-decode of per-thread trace streams and the engine's intra-point
-//! shard lanes — and before this module each spawned fresh OS threads per
-//! call. The pool amortizes thread creation across the whole process:
+//! The pool runs the engine's intra-point shard lanes and its decode
+//! feeders. It amortizes thread creation across the whole process:
 //! threads are spawned on demand (counted in [`spinups`], surfaced through
 //! `RunnerStats`), capped at the host's available parallelism, and parked
 //! idle between bursts.
@@ -26,12 +25,22 @@
 //! re-raised from [`scope`] after every task has settled, mirroring the
 //! `std::thread::scope` contract.
 //!
-//! [`parallel_map`]: crate::parallel_map
+//! # CPU budget
+//!
+//! A [`Seat`] is one busy simulation thread. Work that must run takes a
+//! seat unconditionally ([`seat`], [`seat_thread`]): a point's committer
+//! for its run loop, a runner worker for its whole batch. Optional work
+//! — a decode feeder — is admitted only while fewer seats are taken than
+//! the host has CPUs ([`try_seat`]), and gives its seat back as soon as
+//! [`over_budget`] reports that mandatory work has pushed the count past
+//! the limit. So optional helpers only ever soak up CPUs nobody else
+//! wants: a runner with `jobs = nproc` admits none while every job runs.
 
+use std::cell::Cell;
 use std::collections::VecDeque;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
 use std::time::Duration;
 
@@ -65,7 +74,7 @@ fn pool() -> &'static Pool {
     POOL.get_or_init(|| Pool {
         state: Mutex::new(PoolState { queue: VecDeque::new(), idle: 0, spawned: 0 }),
         work: Condvar::new(),
-        limit: std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1),
+        limit: host_cpus(),
         spinups: AtomicU64::new(0),
     })
 }
@@ -229,6 +238,131 @@ where
     }
 }
 
+/// The host's available parallelism (which follows CPU affinity), at
+/// least 1.
+fn host_cpus() -> usize {
+    std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1).max(1)
+}
+
+/// Busy simulation threads against a CPU limit (see the module docs).
+struct Budget {
+    busy: AtomicUsize,
+    limit: AtomicUsize,
+}
+
+impl Budget {
+    fn new(limit: usize) -> Self {
+        Budget { busy: AtomicUsize::new(0), limit: AtomicUsize::new(limit) }
+    }
+
+    fn limit(&self) -> usize {
+        self.limit.load(Ordering::Relaxed)
+    }
+
+    fn seat(&'static self) -> Seat {
+        self.busy.fetch_add(1, Ordering::SeqCst);
+        Seat { budget: self }
+    }
+
+    fn try_seat(&'static self) -> Option<Seat> {
+        let limit = self.limit();
+        self.busy
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |busy| (busy < limit).then_some(busy + 1))
+            .ok()
+            .map(|_| Seat { budget: self })
+    }
+
+    fn over(&self) -> bool {
+        self.busy.load(Ordering::SeqCst) > self.limit()
+    }
+}
+
+/// The process-wide budget, limited to the host's CPUs.
+fn budget() -> &'static Budget {
+    static BUDGET: OnceLock<Budget> = OnceLock::new();
+    BUDGET.get_or_init(|| Budget::new(host_cpus()))
+}
+
+thread_local! {
+    /// Whether the calling thread already holds a bound seat.
+    static SEATED: Cell<bool> = const { Cell::new(false) };
+}
+
+/// One busy simulation thread in the CPU budget; released on drop.
+#[must_use = "a seat is released as soon as it is dropped"]
+pub struct Seat {
+    budget: &'static Budget,
+}
+
+impl Seat {
+    /// Binds this seat to the calling thread for as long as the returned
+    /// guard lives, so a committer that later runs on this thread
+    /// ([`seat_thread`]) reuses it instead of counting the thread twice.
+    pub fn bind(self) -> ThreadSeat {
+        SEATED.with(|s| s.set(true));
+        ThreadSeat { _seat: self, _not_send: PhantomData }
+    }
+}
+
+impl Drop for Seat {
+    fn drop(&mut self) {
+        self.budget.busy.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
+/// A [`Seat`] bound to the thread that holds it (see [`Seat::bind`]).
+#[must_use = "a seat is released as soon as it is dropped"]
+pub struct ThreadSeat {
+    _seat: Seat,
+    _not_send: PhantomData<*const ()>,
+}
+
+impl Drop for ThreadSeat {
+    fn drop(&mut self) {
+        SEATED.with(|s| s.set(false));
+    }
+}
+
+/// Takes a seat unconditionally: mandatory work counts itself even when
+/// it pushes the budget past its limit.
+pub fn seat() -> Seat {
+    budget().seat()
+}
+
+/// Seats the calling thread unless it already holds a bound seat (a
+/// runner worker's), in which case the work it does is already counted.
+pub fn seat_thread() -> Option<ThreadSeat> {
+    if SEATED.with(Cell::get) {
+        None
+    } else {
+        Some(seat().bind())
+    }
+}
+
+/// Admits optional work: a seat only while fewer seats are taken than
+/// the budget's limit.
+pub fn try_seat() -> Option<Seat> {
+    budget().try_seat()
+}
+
+/// Whether mandatory work has pushed the busy count past the limit, the
+/// signal for optional work to give its seat back.
+pub fn over_budget() -> bool {
+    budget().over()
+}
+
+/// Seats currently taken, process-wide.
+pub fn busy_seats() -> usize {
+    budget().busy.load(Ordering::SeqCst)
+}
+
+/// Replaces the budget's CPU limit (`None` restores the host's count).
+/// For tests that need a fixed number of spare CPUs on any host.
+#[doc(hidden)]
+pub fn override_cpu_budget(limit: Option<usize>) {
+    budget().limit.store(limit.unwrap_or_else(host_cpus).max(1), Ordering::Relaxed);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -315,5 +449,65 @@ mod tests {
             "spin-ups ({}) must never exceed the worker cap ({cap})",
             spinups()
         );
+    }
+
+    /// A private budget, so the process-wide one other tests share is
+    /// never disturbed.
+    fn private_budget(limit: usize) -> &'static Budget {
+        Box::leak(Box::new(Budget::new(limit)))
+    }
+
+    #[test]
+    fn optional_seats_are_admitted_only_below_the_limit() {
+        let b = private_budget(2);
+        let committer = b.seat();
+        let feeder = b.try_seat().expect("one CPU is spare");
+        assert!(b.try_seat().is_none(), "committer + feeder fill a 2-CPU budget");
+        assert!(!b.over(), "exactly at the limit is not over it");
+        drop(feeder);
+        let again = b.try_seat().expect("a released seat is admissible again");
+        // A second committer counts itself regardless, and the running
+        // feeder must see the budget is over so it can retire.
+        let second = b.seat();
+        assert!(b.over());
+        drop(again);
+        assert!(!b.over());
+        assert!(b.try_seat().is_none(), "two committers leave no CPU spare");
+        drop((committer, second));
+        assert_eq!(b.busy.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn optional_admissions_never_exceed_the_limit_under_contention() {
+        let b = private_budget(3);
+        let peak = AtomicUsize::new(0);
+        std::thread::scope(|s| {
+            for _ in 0..8 {
+                s.spawn(|| {
+                    for _ in 0..2_000 {
+                        if let Some(seat) = b.try_seat() {
+                            peak.fetch_max(b.busy.load(Ordering::SeqCst), Ordering::Relaxed);
+                            drop(seat);
+                        }
+                    }
+                });
+            }
+        });
+        assert!(peak.load(Ordering::Relaxed) <= 3, "admission overshot the limit");
+        assert_eq!(b.busy.load(Ordering::SeqCst), 0);
+    }
+
+    #[test]
+    fn a_bound_seat_makes_the_thread_count_once() {
+        std::thread::spawn(|| {
+            let outer = seat().bind();
+            assert!(seat_thread().is_none(), "a seated thread is not counted twice");
+            drop(outer);
+            let inner = seat_thread().expect("an unseated thread takes a seat");
+            assert!(seat_thread().is_none());
+            drop(inner);
+        })
+        .join()
+        .unwrap();
     }
 }

@@ -501,12 +501,13 @@ fn stats_json(service: &SimService) -> JsonValue {
 }
 
 /// Builds the full metrics registry for this server — `srv_*` counters
-/// plus the shared runner/service series — and snapshots it.
+/// plus the shared runner/service/decode-feed series — and snapshots it.
 pub fn metrics_snapshot(server: &Server) -> slicc_obs::MetricsSnapshot {
     let reg = MetricsRegistry::new();
     export_server(&reg, &server.counters(), server.active_connections());
     slicc_sim::export_runner_stats(&reg, &server.service().runner().stats());
     slicc_sim::export_service(&reg, &server.service().pressure());
+    slicc_sim::export_decode_feed(&reg, &slicc_sim::decode_feed_stats());
     reg.snapshot()
 }
 

@@ -45,9 +45,10 @@ OPTIONS:
                           scheduling and report speedup
     --fuel-steps N        abort the run after N event-loop steps
                           (forward-progress watchdog)
-    --decode-threads N    worker threads used inside each point to
-                          pre-decode trace streams in parallel
-                          (default 1; never changes results)
+    --decode-threads N    threads generating each point's trace
+                          records: the committer plus up to N-1
+                          feeders, admitted only on spare CPUs
+                          (default 2; never changes results)
     --point-threads N|auto
                           worker threads for one point's parallel
                           event loop: a committer plus N-1 shard
@@ -601,7 +602,8 @@ fn print_obs_summary(observation: &slicc_sim::Observation) {
 
 /// Populates a fresh registry from everything the batch produced: run
 /// totals (Merge-folded across completed points), runner/cache counters,
-/// the service pressure gauges, and every split-step lane profile.
+/// the service pressure gauges, every split-step lane profile, and the
+/// decode feed's counters.
 fn collect_metrics_snapshot(
     runner: &Runner,
     results: &[Result<RunResult, RunError>],
@@ -618,6 +620,7 @@ fn collect_metrics_snapshot(
         .filter_map(|o| o.lane_profile.as_ref())
         .collect();
     slicc_sim::export_lane_profiles(&registry, &profiles);
+    slicc_sim::export_decode_feed(&registry, &slicc_sim::decode_feed_stats());
     registry.snapshot()
 }
 

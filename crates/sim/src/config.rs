@@ -395,11 +395,13 @@ pub struct SimConfig {
     pub watchdog: WatchdogConfig,
     /// Deterministic fault injection (none by default).
     pub fault_injection: Option<InjectedFault>,
-    /// Worker threads used *inside* one simulation point to pre-decode
-    /// independent threads' trace streams in parallel. Must be ≥ 1; the
-    /// default of 1 decodes lazily on the simulating thread. Never
-    /// changes simulated results, so it is excluded from the stable
-    /// run-cache key.
+    /// Threads that generate one point's trace records: the committer
+    /// plus up to `decode_threads − 1` pooled feeders that fill every
+    /// thread's stream ahead of it, admitted only while the process-wide
+    /// CPU budget has a spare CPU (DESIGN §11). Must be ≥ 1; 1 generates
+    /// every record on the committer; the default is 2. A point with
+    /// `point_threads > 1` starts no feeder. Never changes simulated
+    /// results, so it is excluded from the stable run-cache key.
     pub decode_threads: usize,
     /// Worker threads used to parallelize one point's *event loop*:
     /// 1 (the default) commits every split step inline; `P > 1` runs one
@@ -457,7 +459,7 @@ impl SimConfig {
             seed: 0x5eed,
             watchdog: WatchdogConfig::disabled(),
             fault_injection: None,
-            decode_threads: 1,
+            decode_threads: 2,
             point_threads: 1,
         }
     }
@@ -808,10 +810,11 @@ impl StableHash for SimConfig {
         self.seed.stable_hash(h);
         self.watchdog.stable_hash(h);
         self.fault_injection.stable_hash(h);
-        // `decode_threads` is deliberately EXCLUDED: it only parallelizes
-        // trace pre-decoding, never the coherent event loop, so any worker
-        // count produces byte-identical metrics (asserted by the golden
-        // determinism test) and must share a run-cache slot.
+        // `decode_threads` is deliberately EXCLUDED: feeders only
+        // generate trace records ahead, in the generator's exact order,
+        // never touching the coherent event loop, so any count produces
+        // byte-identical metrics (asserted by the golden determinism
+        // tests) and must share a run-cache slot.
         // `point_threads` is EXCLUDED for the same reason: shard lanes
         // only *speculate* deterministic segments whose commit order and
         // inputs are fixed by the committer, so any worker count produces
@@ -1018,7 +1021,8 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for intra-point trace pre-decoding
+    /// Sets how many threads generate one point's trace records: the
+    /// committer plus up to `threads − 1` budget-admitted feeders
     /// (validated ≥ 1 by [`SimConfigBuilder::build`]; never changes
     /// simulated results).
     pub fn decode_threads(mut self, threads: usize) -> Self {

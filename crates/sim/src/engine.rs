@@ -45,7 +45,8 @@ use crate::config::{InjectedFault, SchedulerMode, SimConfig, WatchdogConfig};
 use crate::error::{HotThread, LivelockSnapshot, SimError};
 use crate::metrics::RunMetrics;
 use crate::shard::{
-    run_segment, CollectKind, LaneSet, ShutdownGuard, SpecTask, StopReason, ThreadStream,
+    run_segment, CollectKind, Feed, HaltGuard, LaneSet, ShutdownGuard, SpecTask, StopReason,
+    ThreadStream,
 };
 use crate::system::{SegmentParams, System};
 use slicc_cache::MissClass;
@@ -58,6 +59,7 @@ use slicc_core::{CoreMask, MigrationAdvice, ScoutHasher, TeamFormer, TeamKind, T
 use slicc_trace::{Record, WorkloadSpec};
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
+use std::sync::Arc;
 use std::time::Instant;
 
 /// Heap steps between external-control checks in a controlled session:
@@ -122,8 +124,8 @@ enum ThreadState {
 /// in its own dense array instead of one padded record per thread, and
 /// the hot arrays stay resident while the cold ones stay out of the way.
 struct Threads<'a> {
-    /// Per-thread record streams (decode ring over the lazy generator, or
-    /// the whole pre-decoded stream). A thread's unconsumed tail survives
+    /// Per-thread record streams (decode rings over the point's
+    /// [`Feed`]). A thread's unconsumed tail survives
     /// migration: the stream is positional state, not a per-core cache.
     /// `None` exactly while checked out to a speculated segment; streams
     /// of completed threads stay in place so diagnostics can read them.
@@ -289,6 +291,11 @@ pub struct Engine<'a> {
     /// Interval-series sampler (`None` unless the run is observed with
     /// epoch sampling on).
     sampler: Option<IntervalSampler>,
+    /// Every thread's record stream, fillable ahead by pooled feeders.
+    feed: Arc<Feed<'a>>,
+    /// The committer plus up to `decode_threads - 1` feeders
+    /// ([`SimConfig::decode_threads`]).
+    decode_threads: usize,
     /// Effective intra-point worker count: 1 means every segment runs
     /// inline; `exact_search` forces 1 (remote searches read other cores'
     /// L1-Is, which may be checked out under speculation).
@@ -358,8 +365,9 @@ impl<'a> Engine<'a> {
     }
 
     /// Shared construction behind [`Engine::try_new`] and
-    /// [`RunSession::run`]: builds the system, decodes or stages every
-    /// thread trace, runs the scout phase (SLICC-Pp), and forms teams.
+    /// [`RunSession::run`]: builds the system, stages every thread trace
+    /// in the decode feed, runs the scout phase (SLICC-Pp), and forms
+    /// teams.
     pub(crate) fn try_new_with(
         spec: &'a WorkloadSpec,
         cfg: &SimConfig,
@@ -379,20 +387,9 @@ impl<'a> Engine<'a> {
 
         let thread_ids: Vec<ThreadId> = spec.threads().collect();
         let total = thread_ids.len();
-        let streams: Vec<Option<ThreadStream<'a>>> = if cfg.decode_threads > 1 {
-            // Decode parallelism: independent threads' streams are pure
-            // functions of (spec, thread id), so pre-decoding them across
-            // workers is free of scheduling nondeterminism — any worker
-            // count yields byte-identical records.
-            slicc_common::parallel_map(total, cfg.decode_threads, |i| {
-                spec.thread_trace(thread_ids[i]).collect::<Vec<Record>>()
-            })
-            .into_iter()
-            .map(|records| Some(ThreadStream::decoded(records)))
-            .collect()
-        } else {
-            thread_ids.iter().map(|&t| Some(ThreadStream::lazy(spec.thread_trace(t)))).collect()
-        };
+        let feed = Arc::new(Feed::new(thread_ids.iter().map(|&t| spec.thread_trace(t))));
+        let streams: Vec<Option<ThreadStream<'a>>> =
+            (0..total).map(|i| Some(ThreadStream::new(Arc::clone(&feed), i))).collect();
         // Transactions arrive spaced out, not in lockstep.
         let arrivals: Vec<Cycle> =
             thread_ids.iter().map(|t| t.raw() as Cycle * cfg.arrival_stagger_cycles).collect();
@@ -482,6 +479,8 @@ impl<'a> Engine<'a> {
                 EventSink::disabled()
             },
             sampler: obs.epoch_cycles.map(IntervalSampler::new),
+            feed,
+            decode_threads: cfg.decode_threads,
             point_threads,
             quantum,
             partition: (0..n).map(|c| c % lanes_n).collect(),
@@ -685,9 +684,6 @@ impl<'a> Engine<'a> {
     /// state accessors still work, which is what lets the livelock
     /// snapshot describe the stuck machine.
     pub fn try_execute(&mut self) -> Result<(), SimError> {
-        if let Some(InjectedFault::Panic) = self.fault {
-            panic!("injected fault: panic on execute (SimConfig::fault_injection)");
-        }
         // Lane-profiler wall clock around the whole run (the committer's
         // perspective). Profiling reads timing, never simulated state.
         let profile_t0 = self.profile.then(Instant::now);
@@ -699,15 +695,25 @@ impl<'a> Engine<'a> {
     }
 
     fn execute_loop(&mut self) -> Result<(), SimError> {
-        // Quiescent-mode specialization: each arm monomorphizes its own
-        // loop body, so an uncontrolled session compiles to a loop with
-        // no atomic loads, no clock reads, and no `Option` unwraps.
+        // The committer counts itself in the CPU budget for its whole run
+        // loop (a runner worker's bound seat already counts this thread).
+        let _seat = slicc_common::pool::seat_thread();
         if self.point_threads <= 1 {
-            return if self.controlled {
-                self.run_loop::<true>(None)
-            } else {
-                self.run_loop::<false>(None)
-            };
+            let feeders = self.feed.admit(self.decode_threads.saturating_sub(1));
+            if feeders == 0 {
+                return self.start_loop(None);
+            }
+            let feed = Arc::clone(&self.feed);
+            let feed: &Feed<'a> = &feed;
+            return slicc_common::pool::scope(|scope| {
+                // Halt the feeders on every exit, panics included, so the
+                // pool scope's join barrier can never hang.
+                let _halt = HaltGuard(feed);
+                for _ in 0..feeders {
+                    scope.spawn(move || feed.run_feeder());
+                }
+                self.start_loop(None)
+            });
         }
         let lanes = LaneSet::new(self.sys.num_cores(), self.point_threads - 1, self.profile);
         let spec = self.spec;
@@ -720,16 +726,29 @@ impl<'a> Engine<'a> {
             // Shut the lanes down even if the committer panics, so the
             // pool scope's join barrier can never hang.
             let _guard = ShutdownGuard(lanes);
-            if self.controlled {
-                self.run_loop::<true>(Some(lanes))
-            } else {
-                self.run_loop::<false>(Some(lanes))
-            }
+            self.start_loop(Some(lanes))
         });
         if self.profile {
             self.lane_profile.lanes = lanes.lane_stats();
         }
         result
+    }
+
+    /// Enters the event loop. Quiescent-mode specialization: each arm
+    /// monomorphizes its own loop body, so an uncontrolled session
+    /// compiles to a loop with no atomic loads, no clock reads, and no
+    /// `Option` unwraps.
+    fn start_loop(&mut self, lanes: Option<&LaneSet<'a>>) -> Result<(), SimError> {
+        // Raised inside the feeder and lane scopes, so the drill also
+        // proves their guards halt every helper on a committer panic.
+        if let Some(InjectedFault::Panic) = self.fault {
+            panic!("injected fault: panic on execute (SimConfig::fault_injection)");
+        }
+        if self.controlled {
+            self.run_loop::<true>(lanes)
+        } else {
+            self.run_loop::<false>(lanes)
+        }
     }
 
     fn run_loop<const CONTROLLED: bool>(

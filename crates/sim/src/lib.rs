@@ -81,9 +81,11 @@ pub use service::{
     BoundedResultCache, PressureSnapshot, ServiceConfig, SimService, DEFAULT_CACHE_BYTES,
 };
 pub use session::{RunOutcome, RunSession};
+pub use shard::{decode_feed_stats, DecodeFeedStats};
 pub use system::System;
 pub use telemetry::{
-    export_lane_profiles, export_run_metrics, export_runner_stats, export_service,
+    export_decode_feed, export_lane_profiles, export_run_metrics, export_runner_stats,
+    export_service,
 };
 
 // The observability vocabulary, re-exported so binaries and tests reach

@@ -442,8 +442,8 @@ pub struct RunnerStats {
     /// threads, so it can exceed wall-clock time).
     pub busy_nanos: u64,
     /// OS threads ever spawned by the process-global worker pool
-    /// ([`slicc_common::pool`]) that backs `parallel_map` pre-decode and
-    /// the engine's intra-point shard lanes. Threads are parked and
+    /// ([`slicc_common::pool`]) that backs the engine's decode feeders
+    /// and intra-point shard lanes. Threads are parked and
     /// reused, so a steady workload converges to a constant here no
     /// matter how many points it runs.
     pub pool_spinups: u64,
@@ -1182,26 +1182,35 @@ impl Runner {
         drop(job_tx);
 
         let mut results: Vec<Option<Result<RunResult, RunError>>> = vec![None; fresh.len()];
+        // Every worker's CPU seat is taken before any worker starts, so no
+        // point's committer can admit a decode feeder while the whole
+        // batch is running; a worker gives its seat back when it runs out
+        // of points, leaving that CPU to the stragglers' feeders.
+        let seats: Vec<slicc_common::pool::Seat> =
+            (0..workers).map(|_| slicc_common::pool::seat()).collect();
         std::thread::scope(|scope| {
-            for _ in 0..workers {
+            for seat in seats {
                 let job_rx = &job_rx;
                 let result_tx = result_tx.clone();
                 let reporter = &reporter;
-                scope.spawn(move || loop {
-                    // Hold the queue lock only for the dequeue, not the
-                    // simulation. Poison recovery: another worker dying
-                    // while holding the lock must not cascade.
-                    let job = lock_unpoisoned(job_rx).recv();
-                    match job {
-                        Ok((idx, req)) => {
-                            report_point_start(&**reporter, idx + 1, total, req);
-                            let outcome = self.execute_point(req);
-                            report_point_end(&**reporter, idx + 1, total, req, &outcome);
-                            if result_tx.send((idx, outcome)).is_err() {
-                                return;
+                scope.spawn(move || {
+                    let _seat = seat.bind();
+                    loop {
+                        // Hold the queue lock only for the dequeue, not the
+                        // simulation. Poison recovery: another worker dying
+                        // while holding the lock must not cascade.
+                        let job = lock_unpoisoned(job_rx).recv();
+                        match job {
+                            Ok((idx, req)) => {
+                                report_point_start(&**reporter, idx + 1, total, req);
+                                let outcome = self.execute_point(req);
+                                report_point_end(&**reporter, idx + 1, total, req, &outcome);
+                                if result_tx.send((idx, outcome)).is_err() {
+                                    return;
+                                }
                             }
+                            Err(_) => return,
                         }
-                        Err(_) => return,
                     }
                 });
             }

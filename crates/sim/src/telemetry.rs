@@ -3,8 +3,9 @@
 //!
 //! The simulator's layers each keep their own typed counters —
 //! [`RunMetrics`] per run, [`RunnerStats`] for the batch runner,
-//! [`PressureSnapshot`] for the service's governance surface, and the
-//! engine's [`LaneProfile`] for the split-step lanes. This module maps
+//! [`PressureSnapshot`] for the service's governance surface, the
+//! engine's [`LaneProfile`] for the split-step lanes, and the
+//! process-wide [`DecodeFeedStats`] of the decode feed. This module maps
 //! them all into one registry namespace at *snapshot time*: the structs
 //! stay the single source of truth, the registry is a read-only
 //! projection of them, and the reconciliation tests below pin that every
@@ -18,6 +19,7 @@
 use crate::metrics::RunMetrics;
 use crate::runner::RunnerStats;
 use crate::service::PressureSnapshot;
+use crate::shard::DecodeFeedStats;
 use slicc_common::Merge;
 use slicc_cpu::CoreStats;
 use slicc_mem::{DramStats, L2Stats};
@@ -123,6 +125,21 @@ pub fn export_service(reg: &MetricsRegistry, snap: &PressureSnapshot) {
     reg.gauge("service_cache_entries", "entries resident in the run cache")
         .set(snap.cache_entries as u64);
     reg.counter("service_shed_total", "submissions shed by admission control").add(snap.shed);
+}
+
+/// Exports the decode feed's process-wide counters (`engine_decode_`
+/// prefix): ring refills served by a feeder versus generated by the
+/// committer, and feeder admissions versus refusals by the CPU budget.
+pub fn export_decode_feed(reg: &MetricsRegistry, stats: &DecodeFeedStats) {
+    let counters: [(&str, &str, u64); 4] = [
+        ("engine_decode_chunks_fed_total", "ring refills a feeder filled ahead", stats.chunks_fed),
+        ("engine_decode_chunks_inline_total", "ring refills the committer generated", stats.chunks_inline),
+        ("engine_decode_feeders_admitted_total", "decode feeders the CPU budget admitted", stats.feeders_admitted),
+        ("engine_decode_feeders_refused_total", "points the CPU budget refused a feeder", stats.feeders_refused),
+    ];
+    for (name, help, v) in counters {
+        reg.counter(name, help).add(v);
+    }
 }
 
 /// Exports the split-step engine's lane profile (`engine_` prefix),
@@ -294,6 +311,19 @@ mod tests {
     }
 
     #[test]
+    fn decode_feed_totals_reconcile_exactly_with_the_stats() {
+        let stats =
+            DecodeFeedStats { chunks_fed: 11, chunks_inline: 22, feeders_admitted: 3, feeders_refused: 4 };
+        let reg = MetricsRegistry::new();
+        export_decode_feed(&reg, &stats);
+        let snap = reg.snapshot();
+        assert_eq!(snap.value("engine_decode_chunks_fed_total"), Some(11));
+        assert_eq!(snap.value("engine_decode_chunks_inline_total"), Some(22));
+        assert_eq!(snap.value("engine_decode_feeders_admitted_total"), Some(3));
+        assert_eq!(snap.value("engine_decode_feeders_refused_total"), Some(4));
+    }
+
+    #[test]
     fn metric_names_never_collide_with_the_pressure_event_grep() {
         // scripts/ci.sh's pressure smoke selects stderr lines by the
         // literal substring "pressure"; a metric named that way would
@@ -314,6 +344,7 @@ mod tests {
             },
         );
         export_lane_profiles(&reg, &[&LaneProfile::default()]);
+        export_decode_feed(&reg, &DecodeFeedStats::default());
         for s in &reg.snapshot().samples {
             assert!(!s.name.contains("pressure"), "metric {} collides with the event grep", s.name);
         }

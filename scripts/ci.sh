@@ -34,6 +34,11 @@ echo "API-freeze lane ok (removed entry points stay removed)"
 # still be byte-identical — observability is zero-cost AND zero-effect.
 cargo test -p slicc-sim --no-default-features --test golden -q
 
+# One-CPU lane: available_parallelism follows CPU affinity, so pinned to
+# one CPU the budget admits no decode feeder and every chunk is generated
+# inline — the golden digests must not notice (DESIGN.md §11).
+taskset -c 0 cargo test -p slicc-sim --test golden -q
+
 # Obs smoke: an observed tiny run must emit valid Chrome trace JSON and
 # an interval series whose CSV/JSON agree on the epoch count.
 obs_prefix="$(mktemp -u /tmp/slicc-ci-obs.XXXXXX)"
@@ -96,7 +101,10 @@ doc = json.load(open(prefix + ".metrics.json"))
 names = {m["name"] for m in doc["metrics"]}
 for want in ("sim_instructions_total", "core_base_cycles_total",
              "runner_cache_misses_total", "pool_thread_spinups_total",
-             "engine_steps_total", "engine_commit_wait_nanos"):
+             "engine_steps_total", "engine_commit_wait_nanos",
+             "engine_decode_chunks_fed_total", "engine_decode_chunks_inline_total",
+             "engine_decode_feeders_admitted_total",
+             "engine_decode_feeders_refused_total"):
     assert want in names, f"JSON snapshot lacks {want}"
 assert not any("pressure" in n for n in names), \
     "metric names must not collide with the pressure-event grep"
@@ -128,8 +136,11 @@ grep -q 'BENCH_history.json' "$dash"
 echo "dashboard sanity ok ($dash is offline and reads only BENCH_history.json)"
 
 # Chaos lane: the fault matrix (injected panics, stalls, I/O failures,
-# torn checkpoint tails), deadline aborts, and cancellation drills.
+# torn checkpoint tails), deadline aborts, and cancellation drills, plus
+# the decode-feed drills (every committer exit halts an admitted feeder
+# and frees its CPU seat; busy runners admit none).
 cargo test -p slicc-sim --test chaos -q
+cargo test -p slicc-sim --test feed -q
 
 # Service-chaos lane: the resource-governance drills by name — cache
 # thrash under a tiny byte budget, stampede storms coalescing to one

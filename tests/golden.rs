@@ -123,9 +123,9 @@ fn governed_runners_reproduce_the_golden_digests() {
     assert!(runner.stats().cache_bytes <= 64, "the byte budget must hold");
 }
 
-/// `decode_threads` parallelizes trace *decoding*, never the
-/// simulation itself: a multi-threaded point must be byte-identical to
-/// its single-threaded twin (and to the golden capture) in every mode.
+/// `decode_threads` parallelizes trace *generation*, never the
+/// simulation itself: a point with more feeders must be byte-identical
+/// to its single-threaded twin (and to the golden capture) in every mode.
 #[test]
 fn decode_threads_never_change_simulated_results() {
     for (mode, want) in GOLDEN {
@@ -134,6 +134,26 @@ fn decode_threads_never_change_simulated_results() {
         cfg.decode_threads = 4;
         let wide = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
         assert_eq!(wide, want, "{mode:?}: 4 decode threads drifted from the golden digest");
+    }
+}
+
+/// The decode feed only moves *who* generates each chunk of a thread's
+/// records — the committer inline, or a pooled feeder ahead of it —
+/// never the order: `decode_threads = 1` (no feeder) and the default
+/// (a feeder whenever the CPU budget has a spare CPU) land on the same
+/// golden digest in every mode.
+#[test]
+fn the_default_decode_feed_matches_the_unfed_point() {
+    let default = SimConfig::tiny_test().decode_threads;
+    assert_eq!(default, 2, "the committer plus one feeder by default");
+    for (mode, want) in GOLDEN {
+        for decode_threads in [1, default] {
+            let spec = Workload::TpcC1.spec(TraceScale::tiny());
+            let mut cfg = SimConfig::tiny_test().with_mode(mode);
+            cfg.decode_threads = decode_threads;
+            let got = RunSession::new(&spec, &cfg).unwrap().run().unwrap().metrics.digest();
+            assert_eq!(got, want, "{mode:?}: decode_threads={decode_threads} drifted");
+        }
     }
 }
 
