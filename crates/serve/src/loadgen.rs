@@ -28,7 +28,9 @@ pub enum Scenario {
     /// More concurrent distinct submissions than the server will admit
     /// (run it with `--queue-limit 0`): some must come back as
     /// `RETRY-AFTER`, and a serial resubmission afterwards must succeed
-    /// — shed and recover, not shed and stay down.
+    /// — shed and recover, not shed and stay down. Each connection
+    /// walks the key sequence from its own offset, so the submissions
+    /// in flight are distinct rather than coalescing onto one key.
     Overload,
 }
 
@@ -277,7 +279,11 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
     let tallies: Vec<Tally> = std::thread::scope(|scope| {
         let digests = &digests;
         let handles: Vec<_> = (0..cfg.connections.max(1))
-            .map(|_| {
+            .map(|c| {
+                let offset = match cfg.scenario {
+                    Scenario::Stampede => 0,
+                    Scenario::Overload => c * cfg.per_connection,
+                };
                 scope.spawn(move || {
                     let mut tally = Tally::default();
                     let mut client = match Client::connect(&cfg.addr) {
@@ -288,9 +294,10 @@ pub fn run(cfg: &LoadgenConfig) -> Result<LoadgenReport, String> {
                         }
                     };
                     for j in 0..cfg.per_connection {
-                        // Every connection walks the same key sequence,
-                        // so early keys see the hardest stampede.
-                        let body = cfg.submission(j % distinct);
+                        // In a stampede every connection walks the same
+                        // key sequence, so early keys see the hardest
+                        // stampede.
+                        let body = cfg.submission((offset + j) % distinct);
                         match client.submit(&body) {
                             Ok(crate::client::Submitted::Result { key, digest, from_cache }) => {
                                 tally.ok += 1;

@@ -388,7 +388,7 @@ fn sanitize(text: &str) -> String {
 /// | `machine`        | `paper` (default) `tiny` (miniature test box) |
 /// | `seed`           | trace-seed override (u64)                     |
 /// | `tasks`          | task-count override (u32)                     |
-/// | `decode_threads` | committer + up to N−1 decode feeders (u64 ≥ 1)|
+/// | `decode_threads` | 1: no feeder; ≥ 2: one on a spare CPU (u64)   |
 /// | `wall_ms`        | per-point wall-clock deadline in ms           |
 pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolError> {
     let bad = |detail: String| ProtocolError::BadPayload { verb: "SUBMIT", detail };

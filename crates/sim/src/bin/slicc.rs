@@ -46,9 +46,9 @@ OPTIONS:
     --fuel-steps N        abort the run after N event-loop steps
                           (forward-progress watchdog)
     --decode-threads N    threads generating each point's trace
-                          records: the committer plus up to N-1
-                          feeders, admitted only on spare CPUs
-                          (default 2; never changes results)
+                          records: 1 is the committer alone; 2 or
+                          more adds one feeder, admitted only on a
+                          spare CPU (default 2; never changes results)
     --point-threads N|auto
                           worker threads for one point's parallel
                           event loop: a committer plus N-1 shard

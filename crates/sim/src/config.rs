@@ -395,13 +395,15 @@ pub struct SimConfig {
     pub watchdog: WatchdogConfig,
     /// Deterministic fault injection (none by default).
     pub fault_injection: Option<InjectedFault>,
-    /// Threads that generate one point's trace records: the committer
-    /// plus up to `decode_threads − 1` pooled feeders that fill every
-    /// thread's stream ahead of it, admitted only while the process-wide
-    /// CPU budget has a spare CPU (DESIGN §11). Must be ≥ 1; 1 generates
-    /// every record on the committer; the default is 2. A point with
-    /// `point_threads > 1` starts no feeder. Never changes simulated
-    /// results, so it is excluded from the stable run-cache key.
+    /// Threads that generate one point's trace records. Must be ≥ 1;
+    /// 1 generates every record on the committer. At 2 (the default) or
+    /// more, the point may admit one pooled feeder that fills every
+    /// thread's stream ahead of the committer, but only while the
+    /// process-wide CPU budget has a spare CPU (DESIGN §11). Values
+    /// above 2 act like 2: a second feeder has not been shown to pay. A
+    /// point with `point_threads > 1` starts no feeder. Never changes
+    /// simulated results, so it is excluded from the stable run-cache
+    /// key.
     pub decode_threads: usize,
     /// Worker threads used to parallelize one point's *event loop*:
     /// 1 (the default) commits every split step inline; `P > 1` runs one
@@ -1021,10 +1023,10 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets how many threads generate one point's trace records: the
-    /// committer plus up to `threads − 1` budget-admitted feeders
-    /// (validated ≥ 1 by [`SimConfigBuilder::build`]; never changes
-    /// simulated results).
+    /// Sets how many threads generate one point's trace records: 1 is
+    /// the committer alone, ≥ 2 lets the point admit one budget-admitted
+    /// feeder (validated ≥ 1 by [`SimConfigBuilder::build`]; never
+    /// changes simulated results).
     pub fn decode_threads(mut self, threads: usize) -> Self {
         self.cfg.decode_threads = threads;
         self

@@ -291,9 +291,9 @@ pub struct Engine<'a> {
     /// Interval-series sampler (`None` unless the run is observed with
     /// epoch sampling on).
     sampler: Option<IntervalSampler>,
-    /// Every thread's record stream, fillable ahead by pooled feeders.
+    /// Every thread's record stream, fillable ahead by a pooled feeder.
     feed: Arc<Feed<'a>>,
-    /// The committer plus up to `decode_threads - 1` feeders
+    /// Above 1, the point may admit one feeder
     /// ([`SimConfig::decode_threads`]).
     decode_threads: usize,
     /// Effective intra-point worker count: 1 means every segment runs
@@ -699,19 +699,16 @@ impl<'a> Engine<'a> {
         // loop (a runner worker's bound seat already counts this thread).
         let _seat = slicc_common::pool::seat_thread();
         if self.point_threads <= 1 {
-            let feeders = self.feed.admit(self.decode_threads.saturating_sub(1));
-            if feeders == 0 {
+            if self.decode_threads <= 1 || !self.feed.admit() {
                 return self.start_loop(None);
             }
             let feed = Arc::clone(&self.feed);
             let feed: &Feed<'a> = &feed;
             return slicc_common::pool::scope(|scope| {
-                // Halt the feeders on every exit, panics included, so the
+                // Halt the feeder on every exit, panics included, so the
                 // pool scope's join barrier can never hang.
                 let _halt = HaltGuard(feed);
-                for _ in 0..feeders {
-                    scope.spawn(move || feed.run_feeder());
-                }
+                scope.spawn(move || feed.run_feeder());
                 self.start_loop(None)
             });
         }

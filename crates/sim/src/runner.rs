@@ -1184,8 +1184,10 @@ impl Runner {
         let mut results: Vec<Option<Result<RunResult, RunError>>> = vec![None; fresh.len()];
         // Every worker's CPU seat is taken before any worker starts, so no
         // point's committer can admit a decode feeder while the whole
-        // batch is running; a worker gives its seat back when it runs out
-        // of points, leaving that CPU to the stragglers' feeders.
+        // batch is running. A worker gives its seat back when it runs out
+        // of points, but that seat helps no point of this batch: a point
+        // asks for its feeder only when it starts, and none starts once
+        // the queue is empty.
         let seats: Vec<slicc_common::pool::Seat> =
             (0..workers).map(|_| slicc_common::pool::seat()).collect();
         std::thread::scope(|scope| {

@@ -19,7 +19,7 @@
 //! This module holds the pieces both sides share:
 //!
 //! - [`Feed`]/[`ThreadStream`]: every thread's record stream, one
-//!   order-preserving feed that pooled feeders may fill ahead of the
+//!   order-preserving feed that a pooled feeder may fill ahead of the
 //!   committer (DESIGN §11), drained through a ring with `peek`/`advance`
 //!   split so classification can look at a record without consuming it;
 //! - [`run_segment`]: the private-segment executor (used inline by the
@@ -106,15 +106,16 @@ impl FeedSlot<'_> {
 }
 
 /// Every thread's record stream for one point, fillable ahead of the
-/// committer by pooled feeders (see [`Feed::admit`]). Feeders never
-/// allocate: the committer provisions each slot's chunk buffers once on
-/// admission, and a ring hands its drained buffer back for every chunk
-/// it takes.
+/// committer by one pooled feeder (see [`Feed::admit`]). The feeder
+/// never allocates: the committer provisions each slot's chunk buffers
+/// once on admission, and a ring hands its drained buffer back for
+/// every chunk it takes.
 pub(crate) struct Feed<'a> {
     slots: Vec<Mutex<FeedSlot<'a>>>,
-    /// Seats of the running feeders; emptied by [`Feed::halt`].
-    seats: Mutex<Vec<Seat>>,
-    /// Whether feeders were admitted (refills then wake parked ones).
+    /// The running feeder's seat; given back by [`Feed::retire`] or
+    /// [`Feed::halt`].
+    seat: Mutex<Option<Seat>>,
+    /// Whether a feeder was admitted (refills then wake it when parked).
     fed: AtomicBool,
     halted: AtomicBool,
     /// Ring refills so far; a feeder parks only if none happened since
@@ -133,7 +134,7 @@ impl<'a> Feed<'a> {
         };
         Feed {
             slots: traces.into_iter().map(slot).collect(),
-            seats: Mutex::new(Vec::new()),
+            seat: Mutex::new(None),
             fed: AtomicBool::new(false),
             halted: AtomicBool::new(false),
             refills: AtomicU64::new(0),
@@ -143,28 +144,22 @@ impl<'a> Feed<'a> {
         }
     }
 
-    /// Admits up to `wanted` feeders against the CPU budget, provisions
-    /// every unfinished slot's chunk buffers if any was admitted, and
-    /// returns how many the caller must start with [`Feed::run_feeder`].
-    pub(crate) fn admit(&self, wanted: usize) -> usize {
-        if wanted == 0 {
-            return 0;
+    /// Asks the CPU budget for one feeder's seat. On success provisions
+    /// every unfinished slot's chunk buffers and returns true: the caller
+    /// must then start [`Feed::run_feeder`]. A feed with no thread (a
+    /// zero-task point) has nothing to fill and asks for no seat.
+    pub(crate) fn admit(&self) -> bool {
+        if self.slots.is_empty() {
+            return false;
         }
-        let mut seats = lock_unpoisoned(&self.seats);
-        while seats.len() < wanted {
-            let Some(seat) = pool::try_seat() else {
-                FEEDERS_REFUSED.fetch_add(1, Ordering::Relaxed);
-                break;
-            };
-            seats.push(seat);
-        }
-        let admitted = seats.len();
-        drop(seats);
-        if admitted > 0 {
-            FEEDERS_ADMITTED.fetch_add(admitted as u64, Ordering::Relaxed);
-            self.provision();
-        }
-        admitted
+        let Some(seat) = pool::try_seat() else {
+            FEEDERS_REFUSED.fetch_add(1, Ordering::Relaxed);
+            return false;
+        };
+        *lock_unpoisoned(&self.seat) = Some(seat);
+        FEEDERS_ADMITTED.fetch_add(1, Ordering::Relaxed);
+        self.provision();
+        true
     }
 
     /// Gives every unfinished slot its [`FEED_DEPTH`] chunk buffers and
@@ -205,7 +200,7 @@ impl<'a> Feed<'a> {
         true
     }
 
-    /// Counts a refill and wakes parked feeders: the FIFO it drained, or
+    /// Counts a refill and wakes a parked feeder: the FIFO it drained, or
     /// the one it found empty, has room again.
     fn nudge(&self) {
         self.refills.fetch_add(1, Ordering::SeqCst);
@@ -243,6 +238,11 @@ impl<'a> Feed<'a> {
     /// budget is over its limit.
     pub(crate) fn run_feeder(&self) {
         loop {
+            // Checked before every pass, not only per slot: a halted feed
+            // with no slot must not spin through empty passes.
+            if self.halted.load(Ordering::SeqCst) {
+                return;
+            }
             let seen = self.refills.load(Ordering::SeqCst);
             let mut filled = false;
             for t in 0..self.slots.len() {
@@ -273,13 +273,13 @@ impl<'a> Feed<'a> {
         }
     }
 
-    /// Gives one feeder's seat back; the committer generates inline
-    /// whatever that feeder would have filled.
+    /// Gives the feeder's seat back; the committer generates inline
+    /// whatever the feeder would have filled.
     fn retire(&self) {
-        lock_unpoisoned(&self.seats).pop();
+        lock_unpoisoned(&self.seat).take();
     }
 
-    /// Stops every feeder and releases their seats. Idempotent; called by
+    /// Stops the feeder and releases its seat. Idempotent; called by
     /// [`HaltGuard`] on every committer exit.
     pub(crate) fn halt(&self) {
         self.halted.store(true, Ordering::SeqCst);
@@ -287,11 +287,11 @@ impl<'a> Feed<'a> {
             let _guard = lock_unpoisoned(&self.wake_lock);
             self.wake.notify_all();
         }
-        lock_unpoisoned(&self.seats).clear();
+        lock_unpoisoned(&self.seat).take();
     }
 }
 
-/// Halts a [`Feed`]'s feeders when dropped, so no committer exit —
+/// Halts a [`Feed`]'s feeder when dropped, so no committer exit —
 /// error, cancellation, deadline, watchdog or panic — can leave a feeder
 /// parked (the pool scope joins it) or holding a CPU seat.
 pub(crate) struct HaltGuard<'x, 'a>(pub(crate) &'x Feed<'a>);
@@ -834,6 +834,24 @@ mod tests {
             });
             assert_eq!(drained, generated(&spec), "{}", spec.name);
         }
+    }
+
+    #[test]
+    fn a_feed_with_no_thread_admits_no_feeder_and_a_halted_one_returns() {
+        let feed = Feed::new(std::iter::empty());
+        assert!(!feed.admit(), "nothing to fill, no seat taken");
+        // Even started by hand, a feeder over no slot returns on halt
+        // instead of spinning through empty passes.
+        feed.provision();
+        std::thread::scope(|s| {
+            let feeder = s.spawn(|| feed.run_feeder());
+            while feed.parked.load(Ordering::SeqCst) == 0 {
+                std::thread::yield_now();
+            }
+            feed.halt();
+            feeder.join().expect("a halted feeder over no slot returns");
+        });
+        feed.run_feeder();
     }
 
     #[test]

@@ -36,14 +36,18 @@ fn serial(f: impl FnOnce()) {
     assert_eq!(pool::busy_seats(), 0, "every seat must be released on exit");
 }
 
-/// Runs one tiny TPC-C-1 session under `cfg` and `ctrl` on its own
-/// thread, failing the test if it does not return within [`PROMPT`].
-/// Returns the session's result, or `None` if it panicked.
-fn run_promptly(cfg: SimConfig, ctrl: Option<RunControl>) -> Option<Result<(), SimError>> {
+/// Runs one TPC-C-1 session at `scale` under `cfg` and `ctrl` on its
+/// own thread, failing the test if it does not return within
+/// [`PROMPT`]. Returns the session's result, or `None` if it panicked.
+fn run_promptly(
+    scale: TraceScale,
+    cfg: SimConfig,
+    ctrl: Option<RunControl>,
+) -> Option<Result<(), SimError>> {
     let (tx, rx) = mpsc::channel();
     let started = Instant::now();
     let session = std::thread::spawn(move || {
-        let spec = Workload::TpcC1.spec(TraceScale::tiny());
+        let spec = Workload::TpcC1.spec(scale);
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             let session = RunSession::new(&spec, &cfg).expect("valid config");
             let session = match ctrl {
@@ -86,7 +90,7 @@ fn every_committer_exit_halts_the_feeder_and_releases_its_seat() {
         ];
         for (name, cfg, ctrl) in drills {
             let admitted = decode_feed_stats().feeders_admitted;
-            let outcome = run_promptly(cfg, ctrl);
+            let outcome = run_promptly(TraceScale::tiny(), cfg, ctrl);
             assert!(
                 decode_feed_stats().feeders_admitted > admitted,
                 "{name}: the drill must run with a feeder admitted"
@@ -100,6 +104,20 @@ fn every_committer_exit_halts_the_feeder_and_releases_its_seat() {
             }
             assert_eq!(pool::busy_seats(), 0, "{name}: the feeder's seat must be released");
         }
+    });
+}
+
+#[test]
+fn a_zero_task_point_asks_for_no_feeder_and_returns_promptly() {
+    serial(|| {
+        // No thread means no slot to fill: a feeder started on such a
+        // feed once spun forever after halt, and the pool join with it.
+        let before = decode_feed_stats();
+        let outcome = run_promptly(TraceScale::tiny().with_tasks(0), SimConfig::tiny_test(), None);
+        assert!(matches!(outcome, Some(Ok(()))), "a zero-task point completes: {outcome:?}");
+        let after = decode_feed_stats();
+        assert_eq!(after.feeders_admitted, before.feeders_admitted, "nothing to fill, no feeder");
+        assert_eq!(after.feeders_refused, before.feeders_refused, "and no seat asked for");
     });
 }
 
