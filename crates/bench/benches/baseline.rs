@@ -1,6 +1,6 @@
 //! The tracked performance baseline: times full small simulation points
-//! per scheduler mode, the hot-structure microbenches, and the
-//! `point_threads` scaling pair, and emits machine-readable JSON so
+//! per scheduler mode, the hot-structure microbenches, and the 32-core
+//! scaling point, and emits machine-readable JSON so
 //! every PR has a perf trajectory to compare against
 //! (`BENCH_history.json` at the repo root is the checked-in record —
 //! one append-only row per commit).
@@ -140,7 +140,7 @@ fn bench_micro(measure: Duration, samples: usize) -> Vec<(String, f64)> {
     // tracing + epoch sampling on. Compare against the row above to see
     // what `--obs-out` actually costs (the obs-off build pays nothing —
     // the no-default-features golden lane in ci.sh proves that side).
-    // Metrics capture (the registry + lane profiler) rides the same row
+    // Metrics capture (the registry + engine profile) rides the same row
     // so the ci.sh obs-overhead gate bounds the whole observability bill.
     let observed = req.clone().with_obs(
         slicc_sim::ObsConfig::disabled()
@@ -157,68 +157,29 @@ fn bench_micro(measure: Duration, samples: usize) -> Vec<(String, f64)> {
     rows
 }
 
-/// The intra-point scaling pair: a 32-core TPC-C point at
-/// `point_threads` 1 and 4, plus the digest cross-check that the lanes
-/// changed nothing. Reported sim-ips feed the `scaling/*` history rows;
-/// the speedup is only meaningful on hosts with CPUs to spare (the row
-/// records `host_cpus` so the CI gate can tell).
-fn bench_scaling(samples: usize) -> Vec<(String, f64)> {
-    let point = |threads: usize| {
-        let cfg = SimConfigBuilder::paper_baseline()
-            .cores(32, 8, 4)
-            .point_threads(threads)
-            .build()
-            .expect("32-core scaling machine is valid");
-        RunRequest::new(Workload::TpcC1, TraceScale::small(), cfg).with_tasks(256)
-    };
-    let mut rows = Vec::new();
-    let mut ips = Vec::new();
-    let mut digests = Vec::new();
-    for threads in [1usize, 4] {
-        let req = point(threads);
-        let metrics = req.execute().metrics; // warm-up + digest capture
-        digests.push(metrics.digest());
-        let ns = time_ns_per_run(samples, || req.execute());
-        let sim_ips = metrics.instructions as f64 * 1e9 / ns;
-        eprintln!(
-            "scaling/point-threads-{threads} {:>7.2} ms/run {:>10.2} M sim-ips",
-            ns / 1e6,
-            sim_ips / 1e6
-        );
-        rows.push((format!("scaling/point-threads-{threads}/sim_ips"), sim_ips));
-        ips.push(sim_ips);
-    }
-    assert_eq!(digests[0], digests[1], "point_threads changed the scaling point's digest");
-    let speedup = ips[1] / ips[0];
-    eprintln!("scaling/speedup-p4            {speedup:>12.3} x");
-    rows.push(("scaling/speedup-p4".to_string(), speedup));
+/// Digest of the 32-core scaling point: TPC-C-1, small scale, 256 tasks
+/// on `paper_baseline().cores(32, 8, 4)`.
+const SCALING_DIGEST: u64 = 0x99b5_430d_f142_94c5;
 
-    // One extra profiled p4 run, outside the timed samples: the
-    // split-step lane profiler explains *why* speedup-p4 moved (less
-    // overlap? more throttle pauses? a stalling committer?) without
-    // perturbing the timing rows above.
-    let profiled =
-        point(4).with_obs(slicc_sim::ObsConfig::disabled().with_metrics()).execute();
+/// The 32-core scaling point, run sequentially and checked against its
+/// pinned digest. The row keeps its historical name so its history stays
+/// continuous.
+fn bench_scaling(samples: usize) -> Vec<(String, f64)> {
+    let cfg = SimConfigBuilder::paper_baseline()
+        .cores(32, 8, 4)
+        .build()
+        .expect("32-core scaling machine is valid");
+    let req = RunRequest::new(Workload::TpcC1, TraceScale::small(), cfg).with_tasks(256);
+    let metrics = req.execute().metrics; // warm-up + digest capture
     assert_eq!(
-        profiled.metrics.digest(),
-        digests[0],
-        "metrics capture changed the scaling point's digest"
+        metrics.digest(),
+        SCALING_DIGEST,
+        "the scaling point drifted from its pinned digest {SCALING_DIGEST:016x}"
     );
-    let profile = profiled
-        .obs
-        .as_ref()
-        .and_then(|o| o.lane_profile.as_ref())
-        .expect("metrics capture attaches a lane profile");
-    let lane = [
-        ("scaling/lane/overlap-fraction", profile.overlap_fraction()),
-        ("scaling/lane/throttle-duty", profile.throttle_duty_cycle()),
-        ("scaling/lane/committer-stall-share", profile.committer_stall_share()),
-    ];
-    for (name, v) in lane {
-        eprintln!("{name:<34} {v:>8.3}");
-        rows.push((name.to_string(), v));
-    }
-    rows
+    let ns = time_ns_per_run(samples, || req.execute());
+    let sim_ips = metrics.instructions as f64 * 1e9 / ns;
+    eprintln!("scaling/point-threads-1 {:>7.2} ms/run {:>10.2} M sim-ips", ns / 1e6, sim_ips / 1e6);
+    vec![("scaling/point-threads-1/sim_ips".to_string(), sim_ips)]
 }
 
 /// End-to-end serving throughput: an in-process `slicc-serve` instance
@@ -361,14 +322,7 @@ fn render_history_row(
         benches.push((format!("micro/{name}"), *ns, "ns/iter"));
     }
     for (name, v) in scaling {
-        let unit = if name.ends_with("sim_ips") {
-            "sim-ips"
-        } else if name.contains("/lane/") {
-            "ratio"
-        } else {
-            "x"
-        };
-        benches.push((name.clone(), *v, unit));
+        benches.push((name.clone(), *v, "sim-ips"));
     }
     for (name, v) in serve {
         benches.push((name.clone(), *v, "submits/s"));

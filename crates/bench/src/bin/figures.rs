@@ -262,20 +262,15 @@ fn main() {
             ),
         });
     }
-    // Every figures point runs profiled (digest-invariant), so the lane
-    // aggregate summarizes how the split-step engine actually behaved
-    // across the whole report.
-    if let Some(profile) = runner.lane_profile() {
+    // Every figures point runs profiled (digest-invariant), so the
+    // aggregate says how much engine work the whole report took.
+    if let Some(profile) = runner.engine_profile() {
         reporter.report(ProgressEvent::Note {
             message: format!(
-                "lane profile: {} steps, {} lanes, {} dispatched ({:.0}% overlapped), \
-                 {:.0}% throttle duty, {:.0}% committer stall",
+                "engine profile: {} steps, {:.2} s committer time ({:.0} ns/step)",
                 profile.steps,
-                profile.lanes.len(),
-                profile.dispatched,
-                100.0 * profile.overlap_fraction(),
-                100.0 * profile.throttle_duty_cycle(),
-                100.0 * profile.committer_stall_share(),
+                profile.run_nanos as f64 / 1e9,
+                profile.run_nanos as f64 / profile.steps as f64,
             ),
         });
     }

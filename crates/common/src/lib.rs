@@ -21,7 +21,7 @@
 //!   cancellation ([`CancelToken`]) and SIGINT/SIGTERM wiring — see
 //!   [`sync`];
 //! - a process-global scoped worker pool ([`pool::scope`]) behind the
-//!   engine's shard lanes and decode feeders, and the process-wide CPU
+//!   engine's decode feeders, and the process-wide CPU
 //!   budget ([`pool::seat`]) that admits feeders — see [`pool`];
 //! - crash-safe artifact emission ([`atomic_write`]) and the injectable
 //!   [`ArtifactIo`] layer for chaos testing — see [`io`];

@@ -1,8 +1,7 @@
 //! A process-global, lazily-built worker pool with a scoped fork-join API,
 //! and the process-wide CPU budget that decides who may use it.
 //!
-//! The pool runs the engine's intra-point shard lanes and its decode
-//! feeders. It amortizes thread creation across the whole process:
+//! The pool runs the engine's decode feeders. It amortizes thread creation across the whole process:
 //! threads are spawned on demand (counted in [`spinups`], surfaced through
 //! `RunnerStats`), capped at the host's available parallelism, and parked
 //! idle between bursts.

@@ -34,7 +34,7 @@ pub mod sink;
 pub use chrome::{chrome_trace_json, TraceMeta};
 pub use event::{EventKind, MigrationReason, MissKind, MissLevel, ThreeC, TraceEvent};
 pub use metrics::{
-    Counter, Gauge, Histogram, HistogramSnapshot, LaneProfile, LaneStat, Log2Hist, MetricSample,
+    Counter, EngineProfile, Gauge, Histogram, HistogramSnapshot, Log2Hist, MetricSample,
     MetricValue, MetricsRegistry, MetricsSnapshot,
 };
 pub use progress::{
@@ -43,7 +43,7 @@ pub use progress::{
 };
 pub use ring::EventRing;
 pub use series::{Epoch, IntervalSampler, IntervalSeries, ObsCounters};
-pub use sink::{CoreSink, EventSink};
+pub use sink::EventSink;
 
 use slicc_common::Cycle;
 
@@ -64,7 +64,7 @@ pub struct ObsConfig {
     /// Sample the interval series every this many simulated cycles
     /// (`None`: no series).
     pub epoch_cycles: Option<Cycle>,
-    /// Capture the metrics snapshot and split-step lane profile.
+    /// Capture the metrics snapshot and the engine profile.
     pub metrics: bool,
 }
 
@@ -117,7 +117,7 @@ impl ObsConfig {
         self
     }
 
-    /// Returns a copy with metrics capture (registry snapshot + lane
+    /// Returns a copy with metrics capture (registry snapshot + engine
     /// profile) on.
     pub fn with_metrics(mut self) -> Self {
         self.metrics = true;
@@ -143,8 +143,8 @@ pub struct Observation {
     pub dropped_events: u64,
     /// The interval series, when [`ObsConfig::epoch_cycles`] was set.
     pub series: Option<IntervalSeries>,
-    /// The split-step lane profile, when [`ObsConfig::metrics`] was set.
-    pub lane_profile: Option<LaneProfile>,
+    /// The engine profile, when [`ObsConfig::metrics`] was set.
+    pub engine_profile: Option<EngineProfile>,
 }
 
 #[cfg(test)]

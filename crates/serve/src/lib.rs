@@ -30,6 +30,7 @@ pub use loadgen::{LoadgenConfig, LoadgenReport, Scenario};
 pub use protocol::{
     decode_request, decode_response, encode_request, encode_response, render_json,
     submission_from_json, FrameBuffer, ProtocolError, Request, Response, MAX_FRAME,
+    MAX_SUBMIT_TASKS,
 };
 pub use server::{
     export_server, metrics_snapshot, write_metrics_artifacts, Server, ServerConfig,

@@ -43,6 +43,13 @@ use slicc_trace::{TraceScale, Workload};
 /// that a hostile client cannot balloon the server's frame buffer.
 pub const MAX_FRAME: usize = 64 * 1024;
 
+/// Upper bound on a submission's `tasks` override. A point allocates
+/// per-thread streams and feed slots for every task, so an unbounded
+/// count would let one frame exhaust the server's memory. 16× the
+/// largest point the repository runs (the 256-task scaling point; the
+/// paper's runs use 160).
+pub const MAX_SUBMIT_TASKS: u32 = 4096;
+
 /// One decoded client request.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Request {
@@ -387,7 +394,7 @@ fn sanitize(text: &str) -> String {
 /// | `scale`          | `tiny` (default) `small` `paper`              |
 /// | `machine`        | `paper` (default) `tiny` (miniature test box) |
 /// | `seed`           | trace-seed override (u64)                     |
-/// | `tasks`          | task-count override (u32)                     |
+/// | `tasks`          | task-count override, ≤ [`MAX_SUBMIT_TASKS`]   |
 /// | `decode_threads` | 1: no feeder; ≥ 2: one on a spare CPU (u64)   |
 /// | `wall_ms`        | per-point wall-clock deadline in ms           |
 pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolError> {
@@ -458,9 +465,10 @@ pub fn submission_from_json(json: &JsonValue) -> Result<RunRequest, ProtocolErro
         req = req.with_seed(seed);
     }
     if let Some(tasks) = u64_field("tasks")? {
-        let tasks =
-            u32::try_from(tasks).map_err(|_| bad(format!("tasks {tasks} exceeds u32::MAX")))?;
-        req = req.with_tasks(tasks);
+        if tasks > u64::from(MAX_SUBMIT_TASKS) {
+            return Err(bad(format!("tasks {tasks} exceeds the limit of {MAX_SUBMIT_TASKS}")));
+        }
+        req = req.with_tasks(tasks as u32);
     }
     if let Some(wall_ms) = u64_field("wall_ms")? {
         req.deadline = DeadlineConfig { wall_ms: Some(wall_ms) };
@@ -558,8 +566,13 @@ mod tests {
         assert_eq!(ok.workload, Workload::TpcC1);
         assert_eq!(ok.config.mode, SchedulerMode::SliccPp);
         assert_eq!(ok.seed, Some(9));
+        let at_limit = format!(r#"{{"workload":"tpcc1","tasks":{MAX_SUBMIT_TASKS}}}"#);
+        let ok = submission_from_json(&parse_json(&at_limit).unwrap()).unwrap();
+        assert_eq!(ok.tasks, Some(MAX_SUBMIT_TASKS));
+        let over_limit = format!(r#"{{"workload":"tpcc1","tasks":{}}}"#, MAX_SUBMIT_TASKS + 1);
 
         for bad in [
+            over_limit.as_str(),                        // task count over the bound
             r#"{}"#,                                    // missing workload
             r#"{"workload":"tpcx"}"#,                   // unknown workload
             r#"{"workload":"tpcc1","mode":"turbo"}"#,   // unknown mode

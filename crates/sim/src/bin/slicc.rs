@@ -49,12 +49,6 @@ OPTIONS:
                           records: 1 is the committer alone; 2 or
                           more adds one feeder, admitted only on a
                           spare CPU (default 2; never changes results)
-    --point-threads N|auto
-                          worker threads for one point's parallel
-                          event loop: a committer plus N-1 shard
-                          lanes (default 1; auto = simulated
-                          cores/8, clamped to the host; never
-                          changes results)
     --fuel-cycles N       abort the run once any core passes cycle N
     --deadline-ms N       abort any point still simulating after N
                           wall-clock milliseconds (reported with a
@@ -98,7 +92,7 @@ OPTIONS:
     --obs-summary         print the per-epoch table to stdout after the
                           metrics report
     --metrics-out PREFIX  capture the engine metrics registry (run totals,
-                          runner/cache counters, split-step lane profile)
+                          runner/cache counters, engine profile)
                           and write PREFIX.metrics.prom (Prometheus text)
                           and PREFIX.metrics.json; with --progress json
                           the snapshot is also emitted as a progress
@@ -111,13 +105,6 @@ stderr), 2 on a usage error, and 130 when interrupted by Ctrl-C. The
 first Ctrl-C cancels outstanding points cooperatively — completed
 points are flushed to the checkpoint and a resume hint is printed; a
 second Ctrl-C exits immediately.";
-
-/// Staged `--point-threads` value; `auto` resolves against the built
-/// config's core count and the host's parallelism.
-enum PointThreads {
-    Exact(usize),
-    Auto,
-}
 
 /// A rejected command line: which option went wrong, and why.
 #[derive(Debug)]
@@ -171,7 +158,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut obs_events: Option<usize> = None;
     let mut obs_sample: Option<u64> = None;
     let mut deadline_ms: Option<u64> = None;
-    let mut point_threads = None;
     let mut retries: u32 = 0;
     let mut inject: Option<InjectedFault> = None;
     let mut cache_bytes: Option<u64> = None;
@@ -248,14 +234,6 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--decode-threads" => {
                 builder = builder.decode_threads(number(&opt, &value(args, &mut i, &opt)?)?)
             }
-            "--point-threads" => {
-                let raw = value(args, &mut i, &opt)?;
-                point_threads = Some(if raw == "auto" {
-                    PointThreads::Auto
-                } else {
-                    PointThreads::Exact(number(&opt, &raw)?)
-                });
-            }
             "--deadline-ms" => deadline_ms = Some(number(&opt, &value(args, &mut i, &opt)?)?),
             "--retries" => retries = number(&opt, &value(args, &mut i, &opt)?)?,
             "--inject" => {
@@ -288,21 +266,10 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     // --mode is applied last: the PIF helpers default to baseline
     // scheduling, but an explicit (or default) --mode always wins, matching
     // the original CLI's behaviour.
-    let mut config = builder
+    let config = builder
         .mode(mode)
         .build()
         .map_err(|e| CliError::new("configuration", e.to_string()))?;
-    // `auto` scales lanes with the simulated machine (one committer per
-    // ~8 simulated cores) without oversubscribing the host.
-    match point_threads {
-        Some(PointThreads::Exact(n)) => config.point_threads = n,
-        Some(PointThreads::Auto) => {
-            let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-            config.point_threads = (config.cores / 8).clamp(1, host);
-        }
-        None => {}
-    }
-    config.try_validate().map_err(|e| CliError::new("configuration", e.to_string()))?;
     let mut request = RunRequest::new(workload, scale, config);
     if let Some(t) = tasks {
         request = request.with_tasks(t);
@@ -338,7 +305,7 @@ fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
     // Metrics capture rides the same observation plumbing but is
     // independent of events/epochs: it only turns on the registry and
-    // the split-step lane profiler.
+    // the engine profile.
     if metrics_out.is_some() {
         obs = obs.with_metrics();
     }
@@ -602,8 +569,8 @@ fn print_obs_summary(observation: &slicc_sim::Observation) {
 
 /// Populates a fresh registry from everything the batch produced: run
 /// totals (Merge-folded across completed points), runner/cache counters,
-/// the service pressure gauges, every split-step lane profile, and the
-/// decode feed's counters.
+/// the service pressure gauges, every engine profile, and the decode
+/// feed's counters.
 fn collect_metrics_snapshot(
     runner: &Runner,
     results: &[Result<RunResult, RunError>],
@@ -614,12 +581,12 @@ fn collect_metrics_snapshot(
     slicc_sim::export_run_metrics(&registry, &runs);
     slicc_sim::export_runner_stats(&registry, &runner.stats());
     slicc_sim::export_service(&registry, &runner.pressure());
-    let profiles: Vec<&slicc_sim::LaneProfile> = completed
+    let profiles: Vec<&slicc_sim::EngineProfile> = completed
         .iter()
         .filter_map(|r| r.obs.as_ref())
-        .filter_map(|o| o.lane_profile.as_ref())
+        .filter_map(|o| o.engine_profile.as_ref())
         .collect();
-    slicc_sim::export_lane_profiles(&registry, &profiles);
+    slicc_sim::export_engine_profiles(&registry, &profiles);
     slicc_sim::export_decode_feed(&registry, &slicc_sim::decode_feed_stats());
     registry.snapshot()
 }
@@ -874,29 +841,6 @@ mod tests {
         // way).
         let err = parse(&["--decode-threads", "0"]).unwrap_err();
         assert!(err.message.contains("at least one"), "got {}", err.message);
-    }
-
-    #[test]
-    fn point_threads_parses_exact_auto_and_rejects_zero() {
-        match parse(&["--point-threads", "4"]).unwrap() {
-            Command::Run { request, .. } => {
-                assert_eq!(request.config.point_threads, 4);
-            }
-            Command::Help => panic!("expected a run"),
-        }
-        match parse(&["--point-threads", "auto"]).unwrap() {
-            Command::Run { request, .. } => {
-                let host = std::thread::available_parallelism().map_or(1, |n| n.get());
-                // The default machine has 16 cores: auto asks for 2 lanes
-                // unless the host is smaller.
-                assert_eq!(request.config.point_threads, 2usize.min(host));
-            }
-            Command::Help => panic!("expected a run"),
-        }
-        let err = parse(&["--point-threads", "0"]).unwrap_err();
-        assert!(err.message.contains("committer"), "got {}", err.message);
-        let err = parse(&["--point-threads", "soon"]).unwrap_err();
-        assert_eq!(err.option, "--point-threads");
     }
 
     #[test]

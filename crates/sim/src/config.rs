@@ -400,19 +400,10 @@ pub struct SimConfig {
     /// more, the point may admit one pooled feeder that fills every
     /// thread's stream ahead of the committer, but only while the
     /// process-wide CPU budget has a spare CPU (DESIGN §11). Values
-    /// above 2 act like 2: a second feeder has not been shown to pay. A
-    /// point with `point_threads > 1` starts no feeder. Never changes
-    /// simulated results, so it is excluded from the stable run-cache
-    /// key.
+    /// above 2 act like 2: a second feeder has not been shown to pay.
+    /// Never changes simulated results, so it is excluded from the
+    /// stable run-cache key.
     pub decode_threads: usize,
-    /// Worker threads used to parallelize one point's *event loop*:
-    /// 1 (the default) commits every split step inline; `P > 1` runs one
-    /// committer plus `P − 1` shard lanes that speculatively execute
-    /// private segments (see DESIGN §13). Must be ≥ 1. Never changes
-    /// simulated results — metrics are byte-identical for any value — so
-    /// it is excluded from the stable run-cache key. `exact_search`
-    /// forces the sequential schedule regardless of this knob.
-    pub point_threads: usize,
 }
 
 impl SimConfig {
@@ -462,7 +453,6 @@ impl SimConfig {
             watchdog: WatchdogConfig::disabled(),
             fault_injection: None,
             decode_threads: 2,
-            point_threads: 1,
         }
     }
 
@@ -592,9 +582,6 @@ impl SimConfig {
         if self.decode_threads < 1 {
             return Err(ConfigError::ZeroDecodeThreads);
         }
-        if self.point_threads < 1 {
-            return Err(ConfigError::ZeroPointThreads);
-        }
         check_cache_shape("l1i", self.l1i_size, self.l1i_assoc)?;
         check_cache_shape("l1d", self.l1d_size, self.l1d_assoc)?;
         check_cache_shape("l2", self.l2_size, self.l2_assoc)?;
@@ -669,9 +656,6 @@ pub enum ConfigError {
     /// `decode_threads` is zero: every point needs at least the
     /// simulating thread itself.
     ZeroDecodeThreads,
-    /// `point_threads` is zero: every point needs at least the committer
-    /// thread itself.
-    ZeroPointThreads,
     /// A cache is configured with zero ways.
     ZeroWayCache {
         /// Which cache field group (`l1i`, `l1d`, or `l2`).
@@ -731,9 +715,6 @@ impl fmt::Display for ConfigError {
             }
             ConfigError::ZeroDecodeThreads => {
                 write!(f, "decode_threads: a point needs at least one decode worker thread")
-            }
-            ConfigError::ZeroPointThreads => {
-                write!(f, "point_threads: a point needs at least the committer thread")
             }
             ConfigError::ZeroWayCache { cache } => {
                 write!(f, "{cache}_assoc: zero-way caches cannot hold blocks")
@@ -817,11 +798,6 @@ impl StableHash for SimConfig {
         // never touching the coherent event loop, so any count produces
         // byte-identical metrics (asserted by the golden determinism
         // tests) and must share a run-cache slot.
-        // `point_threads` is EXCLUDED for the same reason: shard lanes
-        // only *speculate* deterministic segments whose commit order and
-        // inputs are fixed by the committer, so any worker count produces
-        // byte-identical metrics (asserted by the golden scaling test)
-        // and must share a run-cache slot.
     }
 }
 
@@ -1032,14 +1008,6 @@ impl SimConfigBuilder {
         self
     }
 
-    /// Sets the worker-thread count for one point's parallel event loop
-    /// (validated ≥ 1 by [`SimConfigBuilder::build`]; never changes
-    /// simulated results — see DESIGN §13).
-    pub fn point_threads(mut self, threads: usize) -> Self {
-        self.cfg.point_threads = threads;
-        self
-    }
-
     /// Sets the RNG seed for stochastic cache policies.
     pub fn seed(mut self, seed: u64) -> Self {
         self.cfg.seed = seed;
@@ -1211,20 +1179,6 @@ mod tests {
         let base = SimConfig::paper_baseline();
         let wide = SimConfigBuilder::paper_baseline().decode_threads(8).build().unwrap();
         assert_eq!(wide.decode_threads, 8);
-        assert_eq!(stable_hash_of(&base), stable_hash_of(&wide));
-    }
-
-    #[test]
-    fn point_threads_is_validated_and_excluded_from_the_stable_hash() {
-        use slicc_common::stable_hash_of;
-        let err = SimConfigBuilder::paper_baseline().point_threads(0).build().unwrap_err();
-        assert_eq!(err, ConfigError::ZeroPointThreads);
-        assert!(err.to_string().contains("point_threads"), "got: {err}");
-        // Shard lanes only speculate committer-ordered segments, so any
-        // worker count shares the single-threaded point's cache slot.
-        let base = SimConfig::paper_baseline();
-        let wide = SimConfigBuilder::paper_baseline().point_threads(8).build().unwrap();
-        assert_eq!(wide.point_threads, 8);
         assert_eq!(stable_hash_of(&base), stable_hash_of(&wide));
     }
 

@@ -84,7 +84,7 @@ pub use session::{RunOutcome, RunSession};
 pub use shard::{decode_feed_stats, DecodeFeedStats};
 pub use system::System;
 pub use telemetry::{
-    export_decode_feed, export_lane_profiles, export_run_metrics, export_runner_stats,
+    export_decode_feed, export_engine_profiles, export_run_metrics, export_runner_stats,
     export_service,
 };
 
@@ -92,7 +92,7 @@ pub use telemetry::{
 // everything through `slicc_sim` (see the `slicc-obs` crate docs; the
 // `obs-capture` default feature compile-time-gates event recording).
 pub use slicc_obs::{
-    chrome_trace_json, Epoch, EventKind, IntervalSeries, JsonLinesReporter, LaneProfile, LaneStat,
+    chrome_trace_json, EngineProfile, Epoch, EventKind, IntervalSeries, JsonLinesReporter,
     MetricSample, MetricValue, MetricsRegistry, MetricsSnapshot, MigrationReason, MissKind,
     MissLevel, ObsConfig, Observation, PlainReporter, ProgressEvent, ProgressKind, QuietReporter,
     Reporter, ThreeC, TraceEvent, TraceMeta, WarningsOnlyReporter,

@@ -442,8 +442,8 @@ pub struct RunnerStats {
     /// threads, so it can exceed wall-clock time).
     pub busy_nanos: u64,
     /// OS threads ever spawned by the process-global worker pool
-    /// ([`slicc_common::pool`]) that backs the engine's decode feeders
-    /// and intra-point shard lanes. Threads are parked and
+    /// ([`slicc_common::pool`]) that backs the engine's decode feeders.
+    /// Threads are parked and
     /// reused, so a steady workload converges to a constant here no
     /// matter how many points it runs.
     pub pool_spinups: u64,
@@ -513,10 +513,10 @@ pub struct Runner {
     spec_builds: AtomicU64,
     simulated_instructions: AtomicU64,
     busy_nanos: AtomicU64,
-    /// Aggregate of every completed profiled point's lane profile
+    /// Aggregate of every completed profiled point's engine profile
     /// (requests that set [`slicc_obs::ObsConfig::metrics`]). Purely
-    /// derived telemetry — see [`Runner::lane_profile`].
-    lane_profile: Mutex<slicc_obs::LaneProfile>,
+    /// derived telemetry — see [`Runner::engine_profile`].
+    engine_profile: Mutex<slicc_obs::EngineProfile>,
 }
 
 /// One batch's deduplicated fresh points, keyed by stable key, in
@@ -546,7 +546,7 @@ impl Runner {
             spec_builds: AtomicU64::new(0),
             simulated_instructions: AtomicU64::new(0),
             busy_nanos: AtomicU64::new(0),
-            lane_profile: Mutex::new(slicc_obs::LaneProfile::default()),
+            engine_profile: Mutex::new(slicc_obs::EngineProfile::default()),
         }
     }
 
@@ -946,14 +946,14 @@ impl Runner {
         }
     }
 
-    /// The aggregate split-step lane profile across every profiled point
-    /// this runner completed fresh (requests that enabled
+    /// The aggregate engine profile across every profiled point this
+    /// runner completed fresh (requests that enabled
     /// [`slicc_obs::ObsConfig::metrics`]); `None` until one lands.
     /// Cache/checkpoint hits contribute nothing — they did no engine
     /// work here.
-    pub fn lane_profile(&self) -> Option<slicc_obs::LaneProfile> {
-        let profile = lock_unpoisoned(&self.lane_profile);
-        (profile.steps > 0).then(|| profile.clone())
+    pub fn engine_profile(&self) -> Option<slicc_obs::EngineProfile> {
+        let profile = *lock_unpoisoned(&self.engine_profile);
+        (profile.steps > 0).then_some(profile)
     }
 
     /// Points currently memoized (including any seeded from a
@@ -1023,9 +1023,8 @@ impl Runner {
             match self.execute_attempt(req, &spec, attempt, &policy) {
                 Ok(mut result) => {
                     result.attempts = attempt;
-                    if let Some(profile) = result.obs.as_ref().and_then(|o| o.lane_profile.as_ref())
-                    {
-                        lock_unpoisoned(&self.lane_profile).merge(profile);
+                    if let Some(profile) = result.obs.as_ref().and_then(|o| o.engine_profile) {
+                        lock_unpoisoned(&self.engine_profile).merge(&profile);
                     }
                     return Ok(result);
                 }

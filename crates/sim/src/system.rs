@@ -10,20 +10,18 @@
 //!
 //! # Site split and deferred cross-core effects (DESIGN §13)
 //!
-//! Per-core state lives in a [`CoreSite`] box that the engine can check
-//! out ([`System::checkout_site`]) and hand to a shard lane for the
-//! duration of one speculated private segment. Everything that is not
-//! per-core — the NoC, the L2 NUCA + directory, DRAM, and the bloom
-//! signatures (read cross-core by `remote_search`) — stays behind
-//! `&mut System` and is only ever touched by the committer thread.
+//! Per-core state lives in a [`CoreSite`], which the engine's private
+//! segments borrow alone. Everything that is not per-core — the NoC, the
+//! L2 NUCA + directory, DRAM, and the bloom signatures (read cross-core
+//! by `remote_search`) — is only touched by the blocking record's full
+//! `System` paths.
 //!
 //! In deferred mode ([`System::set_deferred_effects`], which the engine
-//! always enables for both `point_threads = 1` and `> 1` so the two are
-//! identical by construction), cross-core coherence side effects do not
-//! mutate the victim core directly. They are queued as typed
+//! always enables), cross-core coherence side effects do not mutate the
+//! victim core directly. They are queued as typed
 //! [`CrossEffect`] messages in a per-core mailbox and applied by
 //! [`System::drain_mailbox`] at the end of every step of the target core
-//! — the quantum barrier of the conservative parallel schedule. Effects
+//! — the step barrier. Effects
 //! whose target is the requesting core itself apply immediately (its site
 //! is in hand). The L2 directory tolerates the stale window this opens:
 //! an eviction notice for a block the directory no longer tracks is a
@@ -41,14 +39,12 @@ use slicc_cpu::{CoreStats, CoreTimer, Tlb};
 use slicc_mem::{Dram, L2AccessKind, L2Nuca, L2Response};
 use slicc_noc::{NocStats, Torus};
 
-/// Per-core hardware state, boxed so the engine can lend it to a shard
-/// lane for one speculated private segment and take it back unchanged.
+/// Per-core hardware state: everything a private segment may touch.
 ///
 /// The SLICC agent and the engine's fetch-block/segment cursors ride in
 /// the site because a private segment advances them; the bloom signature
-/// does *not* — remote searches read every core's bloom from the
-/// committer thread, and private segments (all L1-I hits) never change
-/// bloom contents.
+/// does *not* — remote searches read every core's bloom, and private
+/// segments (all L1-I hits) never change bloom contents.
 pub(crate) struct CoreSite {
     pub(crate) l1i: Cache,
     pub(crate) l1d: Cache,
@@ -68,7 +64,7 @@ pub(crate) struct CoreSite {
 }
 
 /// The per-segment constants a private segment needs from the config,
-/// precomputed once so shard lanes never read `SimConfig`.
+/// precomputed once so segments never read `SimConfig`.
 #[derive(Clone, Copy, Debug)]
 pub(crate) struct SegmentParams {
     pub(crate) tlb_walk_cycles: Cycle,
@@ -143,10 +139,9 @@ pub struct System {
     noc_stats: NocStats,
     l2: L2Nuca,
     dram: Dram,
-    sites: Vec<Option<Box<CoreSite>>>,
+    sites: Vec<CoreSite>,
     /// Bloom signatures live outside the sites: `remote_search` reads
-    /// every core's signature from the committer thread while sites may
-    /// be checked out, and private segments never touch them.
+    /// every core's signature, and private segments never touch them.
     blooms: Vec<BloomSignature>,
     /// Deferred cross-core effects, drained at each core's step barrier.
     mailboxes: Vec<Vec<CrossEffect>>,
@@ -185,25 +180,23 @@ impl System {
         let l1i_geom = cfg.l1i_geometry();
         let l1d_geom = cfg.l1d_geometry();
         let sites = (0..cfg.cores)
-            .map(|i| {
-                Some(Box::new(CoreSite {
-                    l1i: Cache::new(l1i_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1),
-                    l1d: Cache::new(l1d_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1 ^ 1),
-                    timer: CoreTimer::new(cfg.timing),
-                    itlb: Tlb::with_page_bytes(cfg.itlb_entries, cfg.itlb_page_bytes),
-                    dtlb: Tlb::new(cfg.dtlb_entries),
-                    prefetcher: cfg.next_line_prefetch.map(NextLinePrefetcher::new),
-                    pif: cfg.pif_prefetch.map(Pif::new),
-                    i_classifier: cfg
-                        .classify_3c
-                        .then(|| ThreeCClassifier::new(l1i_geom.num_blocks() as usize)),
-                    d_classifier: cfg
-                        .classify_3c
-                        .then(|| ThreeCClassifier::new(l1d_geom.num_blocks() as usize)),
-                    agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
-                    last_iblock: None,
-                    last_segment: None,
-                }))
+            .map(|i| CoreSite {
+                l1i: Cache::new(l1i_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1),
+                l1d: Cache::new(l1d_geom, cfg.l1_policy, cfg.seed ^ (i as u64) << 1 ^ 1),
+                timer: CoreTimer::new(cfg.timing),
+                itlb: Tlb::with_page_bytes(cfg.itlb_entries, cfg.itlb_page_bytes),
+                dtlb: Tlb::new(cfg.dtlb_entries),
+                prefetcher: cfg.next_line_prefetch.map(NextLinePrefetcher::new),
+                pif: cfg.pif_prefetch.map(Pif::new),
+                i_classifier: cfg
+                    .classify_3c
+                    .then(|| ThreeCClassifier::new(l1i_geom.num_blocks() as usize)),
+                d_classifier: cfg
+                    .classify_3c
+                    .then(|| ThreeCClassifier::new(l1d_geom.num_blocks() as usize)),
+                agent: SliccAgent::new(CoreId::new(i as u16), cfg.slicc),
+                last_iblock: None,
+                last_segment: None,
             })
             .collect();
         Ok(System {
@@ -247,11 +240,11 @@ impl System {
     }
 
     fn site(&self, i: usize) -> &CoreSite {
-        self.sites[i].as_deref().expect("core site is checked out to a shard lane")
+        &self.sites[i]
     }
 
     fn site_mut(&mut self, i: usize) -> &mut CoreSite {
-        self.sites[i].as_deref_mut().expect("core site is checked out to a shard lane")
+        &mut self.sites[i]
     }
 
     /// The core's per-core hardware state (engine internal).
@@ -264,20 +257,9 @@ impl System {
         self.site_mut(core.index())
     }
 
-    /// Lends a core's site out for one speculated private segment.
-    pub(crate) fn checkout_site(&mut self, core: CoreId) -> Box<CoreSite> {
-        self.sites[core.index()].take().expect("core site double checkout")
-    }
-
-    /// Restores a site lent by [`System::checkout_site`].
-    pub(crate) fn checkin_site(&mut self, core: CoreId, site: Box<CoreSite>) {
-        debug_assert!(self.sites[core.index()].is_none(), "core site double checkin");
-        self.sites[core.index()] = Some(site);
-    }
-
     /// Switches cross-core coherence effects from immediate application
     /// to per-core mailboxes drained at step barriers. The engine always
-    /// turns this on — sequential and sharded runs share one semantics.
+    /// turns this on.
     pub(crate) fn set_deferred_effects(&mut self, deferred: bool) {
         self.deferred = deferred;
     }
@@ -315,8 +297,8 @@ impl System {
                 CrossEffect::AgentReset => self.site_mut(core.index()).agent.reset_all(),
             }
         }
-        // Hand the drained buffer back to reuse its allocation; drains
-        // run on the committer thread, so nothing raced new effects in.
+        // Hand the drained buffer back to reuse its allocation; nothing
+        // queues new effects for `core` while its own mailbox drains.
         self.mailboxes[core.index()] = pending;
     }
 
@@ -389,7 +371,7 @@ impl System {
         let mut evictions = std::mem::take(&mut self.evict_scratch);
         evictions.clear();
         let result = {
-            let site = self.sites[i].as_deref_mut().expect("core site is checked out");
+            let site = &mut self.sites[i];
             let bloom = &mut self.blooms[i];
             let result = match &mut site.prefetcher {
                 Some(pf) => {
@@ -532,8 +514,7 @@ impl System {
         let mut mask = CoreMask::empty();
         for i in 0..self.sites.len() {
             let holds = if self.cfg.exact_search {
-                // Exact search reads other cores' L1-Is directly, which
-                // is why the engine forces point_threads = 1 for it.
+                // Exact search reads other cores' L1-Is directly.
                 self.site(i).l1i.contains(block)
             } else {
                 self.blooms[i].maybe_contains(block)
@@ -646,7 +627,7 @@ impl System {
     }
 
     fn remove_from_bloom(&mut self, core: CoreId, block: BlockAddr) {
-        let site = self.sites[core.index()].as_deref().expect("core site is checked out");
+        let site = &self.sites[core.index()];
         let set = site.l1i.geometry().set_index(block);
         self.blooms[core.index()].remove(block, site.l1i.blocks_in_set(set));
     }

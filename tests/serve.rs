@@ -12,7 +12,7 @@ use std::time::{Duration, Instant};
 use slicc_common::{lock_unpoisoned, SplitMix64};
 use slicc_serve::{
     loadgen, ChaosTransport, Client, Exhausted, LoadgenConfig, MemTransport, Scenario, Server,
-    ServerConfig, Submitted, TransportFault, MAX_FRAME,
+    ServerConfig, Submitted, TransportFault, MAX_FRAME, MAX_SUBMIT_TASKS,
 };
 use slicc_sim::{
     DeadlineConfig, ProgressEvent, Reporter, RunRequest, Runner, ServiceConfig, SimConfigBuilder,
@@ -123,13 +123,15 @@ fn hostile_frames_get_typed_errors_and_the_server_keeps_serving() {
     let counters = server.counters();
 
     // One connection sends, in order: garbage UTF-8, an unknown verb, a
-    // bad submission, blank lines, then a valid PING. Every rejection is
-    // typed; the connection survives them all.
+    // bad submission, a task count over the bound (rejected at decode,
+    // before any per-task allocation), blank lines, then a valid PING.
+    // Every rejection is typed; the connection survives them all.
     let mut hostile = MemTransport::script(
         vec![
             b"\xff\xfe\xfd\n".to_vec(),
             b"EXECUTE ORDER 66\n".to_vec(),
             b"SUBMIT {\"workload\":\"tpcx\"}\n".to_vec(),
+            format!("SUBMIT {{\"workload\":\"tpcc1\",\"tasks\":{}}}\n", u32::MAX).into_bytes(),
             b"\n\r\n".to_vec(),
             b"PING\n".to_vec(),
         ],
@@ -141,8 +143,11 @@ fn hostile_frames_get_typed_errors_and_the_server_keeps_serving() {
     assert!(frames[0].starts_with("ERROR bad-utf8"), "got {frames:?}");
     assert!(frames[1].starts_with("ERROR unknown-verb"), "got {frames:?}");
     assert!(frames[2].starts_with("ERROR bad-payload"), "got {frames:?}");
-    assert_eq!(frames[3], "PONG", "the connection survives resyncable errors: {frames:?}");
-    assert_eq!(counters.protocol_errors.load(Ordering::Relaxed), 3);
+    assert!(frames[3].starts_with("ERROR bad-payload"), "got {frames:?}");
+    assert!(frames[3].contains(&MAX_SUBMIT_TASKS.to_string()), "names the bound: {frames:?}");
+    assert_eq!(frames[4], "PONG", "the connection survives resyncable errors: {frames:?}");
+    assert_eq!(counters.protocol_errors.load(Ordering::Relaxed), 4);
+    assert_eq!(server.service().runner().stats().cache_misses, 0, "nothing was simulated");
 
     // An unterminated flood breaches the frame bound: one fatal typed
     // error, connection closed.
