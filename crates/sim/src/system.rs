@@ -239,22 +239,14 @@ impl System {
         self.sites.len()
     }
 
-    fn site(&self, i: usize) -> &CoreSite {
-        &self.sites[i]
-    }
-
-    fn site_mut(&mut self, i: usize) -> &mut CoreSite {
-        &mut self.sites[i]
-    }
-
     /// The core's per-core hardware state (engine internal).
     pub(crate) fn core_site(&self, core: CoreId) -> &CoreSite {
-        self.site(core.index())
+        &self.sites[core.index()]
     }
 
     /// Mutable per-core hardware state (engine internal).
     pub(crate) fn core_site_mut(&mut self, core: CoreId) -> &mut CoreSite {
-        self.site_mut(core.index())
+        &mut self.sites[core.index()]
     }
 
     /// Switches cross-core coherence effects from immediate application
@@ -289,12 +281,12 @@ impl System {
             match effect {
                 CrossEffect::InvalI(block) => self.apply_inval_i(core, block),
                 CrossEffect::InvalD(block) => {
-                    self.site_mut(core.index()).l1d.invalidate(block);
+                    self.sites[core.index()].l1d.invalidate(block);
                 }
                 CrossEffect::CleanD(block) => {
-                    self.site_mut(core.index()).l1d.clean(block);
+                    self.sites[core.index()].l1d.clean(block);
                 }
-                CrossEffect::AgentReset => self.site_mut(core.index()).agent.reset_all(),
+                CrossEffect::AgentReset => self.sites[core.index()].agent.reset_all(),
             }
         }
         // Hand the drained buffer back to reuse its allocation; nothing
@@ -309,29 +301,29 @@ impl System {
         if self.deferred && core != stepping {
             self.mailboxes[core.index()].push(CrossEffect::AgentReset);
         } else {
-            self.site_mut(core.index()).agent.reset_all();
+            self.sites[core.index()].agent.reset_all();
         }
     }
 
     /// The core's local clock.
     pub fn timer(&self, core: CoreId) -> &CoreTimer {
-        &self.site(core.index()).timer
+        &self.sites[core.index()].timer
     }
 
     /// Mutable access to the core's local clock (the engine charges
     /// migration, idling, and instruction retirement through this).
     pub fn timer_mut(&mut self, core: CoreId) -> &mut CoreTimer {
-        &mut self.site_mut(core.index()).timer
+        &mut self.sites[core.index()].timer
     }
 
     /// Read access to a core's L1-I (tests, diagnostics).
     pub fn l1i(&self, core: CoreId) -> &Cache {
-        &self.site(core.index()).l1i
+        &self.sites[core.index()].l1i
     }
 
     /// Read access to a core's L1-D (tests, diagnostics).
     pub fn l1d(&self, core: CoreId) -> &Cache {
-        &self.site(core.index()).l1d
+        &self.sites[core.index()].l1d
     }
 
     /// Read access to a core's bloom signature (tests, diagnostics).
@@ -352,7 +344,7 @@ impl System {
         // Address translation precedes the cache.
         {
             let walk = self.cfg.tlb_walk_cycles;
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if !site.itlb.access(block.base_addr(64)) {
                 site.timer.tlb_walk(walk, true);
             }
@@ -361,7 +353,7 @@ impl System {
         if self.cfg.measure_bloom_accuracy {
             // §5.3's accuracy metric: does the signature agree with the
             // cache on hit/miss, for every access?
-            let holds = self.site(i).l1i.contains(block);
+            let holds = self.sites[i].l1i.contains(block);
             self.bloom_accuracy.record(self.blooms[i].maybe_contains(block), holds);
         }
 
@@ -411,7 +403,7 @@ impl System {
         // streams prefetch fills into the L1-I (same scratch, drained).
         evictions.clear();
         {
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if let Some(pif) = &mut site.pif {
                 pif.on_fetch_into(&mut site.l1i, block, result.is_hit(), &mut evictions);
             }
@@ -423,16 +415,16 @@ impl System {
 
         if result.is_hit() {
             let latency = self.l1i_latency;
-            self.site_mut(i).timer.ifetch_hit(latency);
+            self.sites[i].timer.ifetch_hit(latency);
             return true;
         }
 
         // Miss path: request to the home L2 bank over the torus.
-        let now = self.site(i).timer.now();
+        let now = self.sites[i].timer.now();
         let (resp, round_trip) = self.l2_request(core, block, L2AccessKind::IFetch, now);
         self.apply_back_invalidations(core, &resp);
         self.blooms[i].insert(block);
-        self.site_mut(i).timer.ifetch_miss(round_trip);
+        self.sites[i].timer.ifetch_miss(round_trip);
         false
     }
 
@@ -444,14 +436,14 @@ impl System {
 
         {
             let walk = self.cfg.tlb_walk_cycles;
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             if !site.dtlb.access(block.base_addr(64)) {
                 site.timer.tlb_walk(walk, false);
             }
         }
 
         let (result, was_dirty) = {
-            let site = self.site_mut(i);
+            let site = &mut self.sites[i];
             let (result, was_dirty) = match site.l1d.probe(block) {
                 Some(hit) => {
                     site.l1d.hit_at(hit, kind);
@@ -483,16 +475,16 @@ impl System {
             // A store to a clean (potentially shared) line needs
             // exclusivity: an upgrade transaction at the directory.
             if is_store && !was_dirty {
-                let now = self.site(i).timer.now();
+                let now = self.sites[i].timer.now();
                 let (resp, round_trip) = self.l2_request(core, block, L2AccessKind::DataWrite, now);
                 self.apply_coherence(core, block, &resp);
                 self.apply_back_invalidations(core, &resp);
-                self.site_mut(i).timer.data_miss(block, round_trip, true);
+                self.sites[i].timer.data_miss(block, round_trip, true);
             }
             return true;
         }
 
-        let now = self.site(i).timer.now();
+        let now = self.sites[i].timer.now();
         let l2_kind = if is_store { L2AccessKind::DataWrite } else { L2AccessKind::DataRead };
         let (resp, mut round_trip) = self.l2_request(core, block, l2_kind, now);
         // A dirty remote copy must be downgraded before the data returns.
@@ -503,7 +495,7 @@ impl System {
         }
         self.apply_coherence(core, block, &resp);
         self.apply_back_invalidations(core, &resp);
-        self.site_mut(i).timer.data_miss(block, round_trip, is_store);
+        self.sites[i].timer.data_miss(block, round_trip, is_store);
         false
     }
 
@@ -515,7 +507,7 @@ impl System {
         for i in 0..self.sites.len() {
             let holds = if self.cfg.exact_search {
                 // Exact search reads other cores' L1-Is directly.
-                self.site(i).l1i.contains(block)
+                self.sites[i].l1i.contains(block)
             } else {
                 self.blooms[i].maybe_contains(block)
             };
@@ -577,7 +569,7 @@ impl System {
             if self.deferred {
                 self.mailboxes[victim.index()].push(CrossEffect::InvalD(block));
             } else {
-                self.site_mut(victim.index()).l1d.invalidate(block);
+                self.sites[victim.index()].l1d.invalidate(block);
             }
             self.noc_stats.record_unicast(self.noc.hops(requester, victim));
         }
@@ -585,7 +577,7 @@ impl System {
             if self.deferred && owner != requester {
                 self.mailboxes[owner.index()].push(CrossEffect::CleanD(block));
             } else {
-                self.site_mut(owner.index()).l1d.clean(block);
+                self.sites[owner.index()].l1d.clean(block);
             }
         }
     }
@@ -606,7 +598,7 @@ impl System {
                 if self.deferred && c != requester {
                     self.mailboxes[c.index()].push(CrossEffect::InvalD(bi.block));
                 } else {
-                    self.site_mut(c.index()).l1d.invalidate(bi.block);
+                    self.sites[c.index()].l1d.invalidate(bi.block);
                 }
             }
         }
@@ -615,7 +607,7 @@ impl System {
     /// Invalidates an L1-I copy with bloom upkeep (needs the victim's
     /// site in hand: bloom removal reads the L1-I set contents).
     fn apply_inval_i(&mut self, core: CoreId, block: BlockAddr) {
-        if self.site_mut(core.index()).l1i.invalidate(block).is_some() {
+        if self.sites[core.index()].l1i.invalidate(block).is_some() {
             self.remove_from_bloom(core, block);
         }
     }
@@ -634,7 +626,7 @@ impl System {
 
     /// The completion time of the machine: the latest core clock.
     pub fn makespan(&self) -> Cycle {
-        (0..self.sites.len()).map(|i| self.site(i).timer.now()).max().unwrap_or(0)
+        self.sites.iter().map(|site| site.timer.now()).max().unwrap_or(0)
     }
 
     /// 3C class of the most recent L1-I miss, if 3C classification is on.
@@ -651,8 +643,7 @@ impl System {
     /// `migrations` is owned by the engine and left zero here.
     pub fn obs_counters(&self) -> slicc_obs::ObsCounters {
         let mut cum = slicc_obs::ObsCounters::default();
-        for i in 0..self.sites.len() {
-            let site = self.site(i);
+        for site in &self.sites {
             cum.instructions += site.timer.stats().instructions;
             cum.i_misses += site.l1i.stats().misses;
             cum.d_misses += site.l1d.stats().misses;
@@ -666,8 +657,7 @@ impl System {
         let mut core_stats = CoreStats::default();
         let mut i_bd = MissBreakdown::default();
         let mut d_bd = MissBreakdown::default();
-        for i in 0..self.sites.len() {
-            let site = self.site(i);
+        for site in &self.sites {
             out.i_tlb_misses += site.itlb.misses();
             out.d_tlb_misses += site.dtlb.misses();
             out.instructions += site.timer.stats().instructions;
